@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .evaluate import Dataset
 from .explain import global_importance, shap_interactions, shap_values_batch
-from .gbdt import load_model, random_search, save_model, train
+from .gbdt import model_from_dict, random_search, save_model, train
 from .gbdt import inner_holdout_split
 from .pipeline import (
     RunConfig,
@@ -47,7 +48,10 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--out", help="override the configured output directory")
-    p.add_argument("--jobs", type=int, help="worker processes (env PHYSIO_EXPLAIN_JOBS fallback)")
+    p.add_argument(
+        "--jobs", type=int,
+        help="worker processes (first set wins: --jobs, env PHYSIO_EXPLAIN_JOBS, config jobs; else 1)",
+    )
     p.add_argument("--paper-mode", action="store_true", help="pin method parameters to published defaults")
 
 
@@ -69,7 +73,7 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    cfg = replace(cfg, jobs=resolve_jobs(args.jobs if args.jobs is not None else (cfg.jobs if cfg.jobs != 1 else None)))
+    cfg = replace(cfg, jobs=resolve_jobs(args.jobs, cfg.jobs))
     return cfg
 
 
@@ -178,7 +182,7 @@ def cmd_loso(args) -> int:
 def cmd_explain(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
-    model = load_model(args.model)
+    model = reporting.load_artifact(args.model, model_from_dict)
     out = _out_dir(cfg)
     X = dataset.matrix()
     explanations = shap_values_batch(model, X)
@@ -209,15 +213,19 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _load_loso_run(out: Path, target: str):
+    loso_path = out / f"loso_{target}.json"
+    if not loso_path.exists():
+        raise ConfigError(f"{loso_path} missing; run `physioshap loso` first")
+    return reporting.load_artifact(loso_path, reporting.explained_run_from_dict)
+
+
 def cmd_select(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
     out = _out_dir(cfg)
     for target in cfg.targets:
-        loso_path = out / f"loso_{target}.json"
-        if not loso_path.exists():
-            raise ConfigError(f"{loso_path} missing; run `physioshap loso` first")
-        run = reporting.explained_run_from_dict(reporting.load_json(loso_path))
+        run = _load_loso_run(out, target)
         result = selection_sweep(dataset, target, run, cfg.seed)
         reporting.save_json(reporting.selection_to_dict(result), out / f"selection_{target}.json")
         print(
@@ -227,27 +235,26 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _interaction_summary(doc) -> tuple[np.ndarray, tuple[str, ...]]:
+    return np.array(doc["mean_abs_interaction"], dtype=float), tuple(doc["feature_names"])
+
+
 def cmd_report(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
     out = _out_dir(cfg)
     artifacts = []
     for target in cfg.targets:
-        loso_path = out / f"loso_{target}.json"
-        if not loso_path.exists():
-            raise ConfigError(f"{loso_path} missing; run `physioshap loso` first")
-        run = reporting.explained_run_from_dict(reporting.load_json(loso_path))
+        run = _load_loso_run(out, target)
         selection = None
         sel_path = out / f"selection_{target}.json"
         if sel_path.exists():
-            selection = reporting.selection_from_dict(reporting.load_json(sel_path))
+            selection = reporting.load_artifact(sel_path, reporting.selection_from_dict)
         interaction = None
         names = None
         int_path = out / f"interactions_{target}.json"
         if int_path.exists():
-            doc = reporting.load_json(int_path)
-            interaction = np.array(doc["mean_abs_interaction"])
-            names = tuple(doc["feature_names"])
+            interaction, names = reporting.load_artifact(int_path, _interaction_summary)
         artifacts.append(
             reporting.TargetArtifacts(
                 target=target,
@@ -329,11 +336,17 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PhysioShapError as exc:
+    except (PhysioShapError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # unforeseen faults (a dead worker pool, a LinAlgError) are runtime
+        # failures too; name where they were raised instead of a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"runtime failure: {type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -386,9 +386,9 @@ def apply_paper_mode(cfg: RunConfig) -> RunConfig:
     )
 
 
-def resolve_jobs(cli_jobs: int | None) -> int:
-    """--jobs wins; the PHYSIO_EXPLAIN_JOBS environment variable is the
-    fallback; otherwise single-process."""
+def resolve_jobs(cli_jobs: int | None, config_jobs: int = 1) -> int:
+    """--jobs wins, then the PHYSIO_EXPLAIN_JOBS environment variable, then
+    the configured ``jobs`` (1, single-process, unless configured)."""
     if cli_jobs is not None:
         return max(1, int(cli_jobs))
     env = os.environ.get("PHYSIO_EXPLAIN_JOBS")
@@ -397,4 +397,4 @@ def resolve_jobs(cli_jobs: int | None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"PHYSIO_EXPLAIN_JOBS={env!r} is not an integer") from exc
-    return 1
+    return config_jobs

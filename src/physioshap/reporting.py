@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import FEATURE_NAMES
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SchemaMismatchError
 from .evaluate import CvReport, Dataset, FoldResult, MetricSummary
 from .explain import ImportanceRanking, SelectionResult, SelectionRow, ShapExplanation
 from .gbdt import TrainConfig
@@ -127,6 +127,18 @@ def save_json(doc, path) -> None:
 
 def load_json(path):
     return json.loads(Path(path).read_text())
+
+
+def load_artifact(path, parse):
+    """Read a JSON stage artifact through ``parse``.
+
+    A file that is not JSON, lacks a field or holds a value of the wrong
+    shape raises SchemaMismatchError naming the file.
+    """
+    try:
+        return parse(load_json(path))
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise SchemaMismatchError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
 
 def write_explanations_csv(run: ExplainedRun, dataset: Dataset, path) -> None:

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from physioshap import cli
 from physioshap.cli import main
 from physioshap.dataio import write_features_csv
 from test_evaluate import make_feature_dataset
@@ -148,3 +150,75 @@ class TestBadConfig:
         feats = tmp_path / "f.csv"
         write_features_csv(ds, feats)
         assert run("train", "--config", cfg, "--features", feats, "--target", "valence") == 2
+
+
+class TestArtifactAndRuntimeErrors:
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("loso_valence.json", '{"x": 1}'),
+            ("loso_valence.json", "{"),
+            ("selection_valence.json", '{"rows": [{"k": 1}]}'),
+            ("interactions_valence.json", '{"mean_abs_interaction": [[1, "a"]], "feature_names": []}'),
+        ],
+    )
+    def test_malformed_artifact_is_validation_error(self, workdir, rng, capsys, name, text):
+        tmp, cfg = workdir
+        ds = make_feature_dataset(rng, n_subjects=3, trials=6)
+        feats = tmp / "features.csv"
+        write_features_csv(ds, feats)
+        out = tmp / "out"
+        assert run("loso", "--config", cfg, "--features", feats, "--out", out) == 0
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert run("report", "--config", cfg, "--features", feats, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_malformed_model_is_validation_error(self, workdir, rng, capsys):
+        tmp, cfg = workdir
+        ds = make_feature_dataset(rng, n_subjects=3, trials=4)
+        feats = tmp / "features.csv"
+        write_features_csv(ds, feats)
+        model = tmp / "model.json"
+        model.write_text('{"format": "physioshap-gbdt"}')
+        argv = ("explain", "--config", cfg, "--features", feats, "--model", model, "--target", "valence")
+        assert run(*argv) == 1
+        assert "model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc", [BrokenProcessPool("a worker died"), np.linalg.LinAlgError("eigh did not converge")]
+    )
+    def test_unexpected_error_is_runtime_failure(self, workdir, monkeypatch, capsys, exc):
+        tmp, cfg = workdir
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "extract_dataset", fail)
+        assert run("extract", "--config", cfg, "--out", tmp / "out", "--jobs", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and type(exc).__name__ in err
+
+
+class TestJobsPrecedence:
+    """--jobs > PHYSIO_EXPLAIN_JOBS > config jobs > 1."""
+
+    def _jobs(self, tmp_path, config_jobs, *flags):
+        path = tmp_path / "jobs.json"
+        doc = {} if config_jobs is None else {"jobs": config_jobs}
+        path.write_text(json.dumps(doc))
+        args = cli.build_parser().parse_args(["extract", "--config", str(path), *flags])
+        return cli._load_config(args).jobs
+
+    @pytest.mark.parametrize("config_jobs", [1, 3])
+    def test_order(self, tmp_path, monkeypatch, config_jobs):
+        monkeypatch.delenv("PHYSIO_EXPLAIN_JOBS", raising=False)
+        assert self._jobs(tmp_path, config_jobs) == config_jobs
+        monkeypatch.setenv("PHYSIO_EXPLAIN_JOBS", "2")
+        assert self._jobs(tmp_path, config_jobs) == 2
+        assert self._jobs(tmp_path, config_jobs, "--jobs", "4") == 4
+
+    def test_default_single_process(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PHYSIO_EXPLAIN_JOBS", raising=False)
+        assert self._jobs(tmp_path, None) == 1

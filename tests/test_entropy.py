@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physioshap import entropy
 from physioshap.entropy import (
     FEATURE_NAMES,
     EntropyConfig,
@@ -128,6 +129,75 @@ class TestFuzzyEntropy:
             x = rng.normal(size=n)
             assert fuzzy_entropy(x, cfg) >= 0.0
             assert sample_entropy(x, cfg) >= 0.0
+
+
+def _assert_kernels_match_reference(x, cfg):
+    """SampEn equals the O(N^2) reference exactly; FuzzyEn agrees within 1e-12."""
+    x = np.asarray(x, dtype=float)
+    if cfg.tolerance_mode == "std_scaled":
+        r_se, x_fe = cfg.r * x.std(), x / x.std()
+    else:
+        r_se, x_fe = cfg.r, x
+    assert sample_entropy(x, cfg) == sample_entropy_reference(x, cfg.m, r_se)
+    assert abs(fuzzy_entropy(x, cfg) - fuzzy_entropy_reference(x_fe, cfg.m, cfg.r, cfg.n)) < 1e-12
+
+
+class TestBlockedKernelEdges:
+    """The banded and blocked kernels at band edges, ties, and block boundaries."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_integer_gaps_equal_to_r(self, rng, m):
+        # gaps of exactly r sit on the band edge and must not match (strict <)
+        x = rng.integers(0, 6, size=300).astype(float)
+        _assert_kernels_match_reference(x, EntropyConfig(m=m, r=1.0, tolerance_mode="absolute"))
+
+    @pytest.mark.parametrize("step", [0.1, 0.25, 0.3])
+    def test_quantized_gaps_near_r(self, rng, step):
+        # multiples of 0.1 or 0.3 differ by r give or take an ulp after rounding
+        x = np.round(rng.normal(size=400) / step) * step
+        _assert_kernels_match_reference(x, EntropyConfig(r=step, tolerance_mode="absolute"))
+
+    def test_heavy_ties(self, rng):
+        x = rng.choice([-1.0, 0.0, 0.0, 0.0, 2.0], size=500)
+        for r in (0.5, 1.0, 2.0, 3.5):
+            _assert_kernels_match_reference(x, EntropyConfig(r=r, tolerance_mode="absolute"))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_smallest_length(self, rng, m):
+        x = rng.normal(size=m + 2)
+        _assert_kernels_match_reference(x, EntropyConfig(m=m, r=2.0, tolerance_mode="absolute"))
+
+    @pytest.mark.parametrize("budget", [64, 1000, entropy._BLOCK_ELEMS])
+    @pytest.mark.parametrize("n_templates", [255, 256, 257, 211])
+    def test_lengths_around_block_boundaries(self, rng, monkeypatch, budget, n_templates):
+        # 256 x 256 pairs fill one default block exactly; 211 is prime
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMS", budget)
+        x = rng.normal(size=n_templates + 2)
+        _assert_kernels_match_reference(x, EntropyConfig(tolerance_mode="absolute", r=0.3))
+
+    @pytest.mark.parametrize("mode", ["absolute", "std_scaled"])
+    def test_both_tolerance_modes(self, rng, mode):
+        x = 3.0 * np.cumsum(rng.normal(size=350))
+        _assert_kernels_match_reference(x, EntropyConfig(r=0.2, tolerance_mode=mode))
+
+    @pytest.mark.parametrize("n", [4, 257, 700])
+    def test_constant_signal_zero(self, n):
+        x = np.full(n, -1.5)
+        assert sample_entropy(x, ABS) == 0.0
+        assert fuzzy_entropy(x, ABS) == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 50, 4096])
+    def test_blocks_tile_the_upper_band(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMS", budget)
+        n = 300
+        stops = np.maximum.accumulate(np.minimum(np.arange(n) + rng.integers(1, 90, size=n), n))
+        seen = np.zeros(n, dtype=int)
+        for i0, i1, j1, view in entropy._upper_blocks(stops, (float,)):
+            assert view.shape == (i1 - i0, j1 - i0)
+            assert j1 == stops[i1 - 1]
+            assert view.size <= budget or i1 - i0 == 1
+            seen[i0:i1] += 1
+        np.testing.assert_array_equal(seen, 1)
 
 
 class TestEnergy:
