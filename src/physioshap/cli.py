@@ -28,7 +28,7 @@ from .errors import (
 )
 from .evaluate import Dataset
 from .explain import global_importance, shap_interactions, shap_values_batch
-from .gbdt import model_from_dict, random_search, save_model, train
+from .gbdt import load_model, random_search, save_model, train
 from .gbdt import inner_holdout_split
 from .pipeline import (
     RunConfig,
@@ -182,7 +182,7 @@ def cmd_loso(args) -> int:
 def cmd_explain(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
-    model = reporting.load_artifact(args.model, model_from_dict)
+    model = load_model(args.model)
     out = _out_dir(cfg)
     X = dataset.matrix()
     explanations = shap_values_batch(model, X)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, InvalidArgumentError
+from .errors import DegenerateLabelsError, InvalidArgumentError, SchemaMismatchError
 
 
 @dataclass
@@ -508,7 +508,11 @@ def save_model(model: GbdtModel, path) -> None:
 
 
 def load_model(path) -> GbdtModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a saved model; a file that is not one raises SchemaMismatchError naming it."""
+    try:
+        return model_from_dict(json.loads(Path(path).read_text()))
+    except (AttributeError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise SchemaMismatchError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from exc
 
 
 # --- random hyperparameter search ------------------------------------------

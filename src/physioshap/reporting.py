@@ -137,7 +137,7 @@ def load_artifact(path, parse):
     """
     try:
         return parse(load_json(path))
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (AttributeError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise SchemaMismatchError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from physioshap.errors import DegenerateLabelsError, InvalidArgumentError
+from physioshap.errors import DegenerateLabelsError, InvalidArgumentError, SchemaMismatchError
 from physioshap.gbdt import (
     FlatTree,
     GbdtModel,
@@ -291,6 +291,15 @@ class TestSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(InvalidArgumentError):
             model_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "text", ['{"format": "physioshap-gbdt"}', '{"format": "something-else"}', "not json", "[]"]
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(SchemaMismatchError, match="model.json"):
+            load_model(path)
 
 
 def _per_round_losses(model, X, y):
