@@ -180,6 +180,12 @@ class TestBlockedKernelEdges:
         x = 3.0 * np.cumsum(rng.normal(size=350))
         _assert_kernels_match_reference(x, EntropyConfig(r=0.2, tolerance_mode=mode))
 
+    @pytest.mark.parametrize("n_power", [1, 3])
+    def test_fuzzy_exponents_other_than_two(self, rng, n_power):
+        # n = 2 squares each coordinate gap; other exponents take abs then power
+        x = rng.normal(size=300)
+        _assert_kernels_match_reference(x, EntropyConfig(r=0.3, n=n_power, tolerance_mode="absolute"))
+
     @pytest.mark.parametrize("n", [4, 257, 700])
     def test_constant_signal_zero(self, n):
         x = np.full(n, -1.5)
