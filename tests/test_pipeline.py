@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from physioshap.entropy import FEATURE_NAMES
+from conftest import small_config
 from physioshap.errors import ConfigError, SchemaMismatchError
+from physioshap.gbdt import SearchSpace
 from physioshap.pipeline import (
     RunConfig,
     apply_paper_mode,
@@ -82,7 +84,6 @@ class TestExtractDataset:
 
 class TestParallelFolds:
     def test_parallel_loso_matches_serial(self, rng):
-        from conftest import small_config
         from physioshap.pipeline import run_loso_explained
         from test_evaluate import make_feature_dataset
 
@@ -95,6 +96,28 @@ class TestParallelFolds:
         assert serial.predictions == parallel.predictions
         for a, b in zip(serial.explanations, parallel.explanations):
             np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("search_mode", ["per-fold", "global"])
+    def test_parallel_searched_loso_matches_serial(self, rng, search_mode):
+        from physioshap.pipeline import run_loso_explained
+        from test_evaluate import make_feature_dataset
+
+        ds = make_feature_dataset(rng, n_subjects=4, trials=10)
+        space = SearchSpace(min_data_in_leaf=(2, 5), base=small_config(max_rounds=8))
+        serial, parallel = (
+            run_loso_explained(
+                ds, "valence", 2, seed=6, space=space, jobs=jobs, search_mode=search_mode
+            )
+            for jobs in (1, 2)
+        )
+        assert serial.report == parallel.report
+        assert serial.importance == parallel.importance
+        assert serial.predictions == parallel.predictions
+        assert serial.row_ids == parallel.row_ids
+        assert len(serial.explanations) == len(parallel.explanations) == len(ds)
+        for a, b in zip(serial.explanations, parallel.explanations):
+            np.testing.assert_array_equal(a.values, b.values)
+            assert a.base_value == b.base_value
 
 
 class TestRunConfig:
