@@ -23,7 +23,6 @@ from .evaluate import (
     binarize_label,
     compute_metrics,
     loso_split,
-    run_loso,
     wilcoxon_signed_rank,
 )
 from .explain import (
@@ -34,7 +33,7 @@ from .explain import (
     global_importance,
     select_features,
     shap_interactions,
-    shap_values,
+    shap_values_batch,
 )
 from .gbdt import (
     GbdtModel,

@@ -28,8 +28,7 @@ from .errors import (
 )
 from .evaluate import Dataset
 from .explain import global_importance, shap_interactions, shap_values_batch
-from .gbdt import load_model, random_search, save_model, train
-from .gbdt import inner_holdout_split
+from .gbdt import inner_holdout_split, load_model, random_search, save_model, train
 from .pipeline import (
     RunConfig,
     apply_paper_mode,
@@ -184,15 +183,10 @@ def cmd_explain(args) -> int:
     dataset = _load_dataset(args, cfg)
     model = load_model(args.model)
     out = _out_dir(cfg)
-    X = dataset.matrix()
+    X = dataset.matrix(model.feature_names)
     explanations = shap_values_batch(model, X)
     ranking = global_importance(explanations)
-    with (out / f"shap_{args.target}.csv").open("w") as fh:
-        fh.write("subject,trial,base_value," + ",".join(model.feature_names) + "\n")
-        for row, exp in zip(dataset.rows, explanations):
-            cells = [str(row.subject_id), str(row.trial_id), repr(float(exp.base_value))]
-            cells += [repr(float(v)) for v in exp.values]
-            fh.write(",".join(cells) + "\n")
+    reporting.write_shap_csv(dataset.rows, explanations, out / f"shap_{args.target}.csv")
     reporting.save_json(
         {"importance": [[n, s] for n, s in ranking.entries]},
         out / f"importance_{args.target}.json",

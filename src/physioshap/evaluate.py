@@ -1,16 +1,18 @@
-"""Leave-one-subject-out evaluation: label binarization, metrics, fold
-construction, per-fold search/train/score, and paired comparison.
+"""Leave-one-subject-out evaluation: label binarization, metrics, the fold
+engine, and paired comparison.
 
 Every fold holds one subject out for testing; hyperparameter search, early
-stopping, and training only ever see the remaining subjects. An optional
-audit object records exactly which row ids each stage consumed so leakage
-can be asserted, not assumed.
+stopping, and training only ever see the remaining subjects. A FoldPlan
+lays out one (dataset, target) once: matrix, labels, groups, row ids, folds
+and fold seeds. run_fold searches, trains and scores one fold of a plan and
+returns the row ids each stage consumed, so that leakage can be asserted
+from an audit, not assumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .gbdt import (
+    GbdtModel,
     SearchSpace,
     TrainConfig,
     inner_holdout_split,
@@ -147,6 +150,11 @@ class RunAudit:
     def record(self, subject_id: int, stage: str, row_ids) -> None:
         self.stages.setdefault((subject_id, stage), set()).update(int(i) for i in row_ids)
 
+    def record_fold(self, subject_id: int, stages) -> None:
+        """Record the (stage, row ids) pairs that run_fold returns."""
+        for stage, row_ids in stages:
+            self.record(subject_id, stage, row_ids)
+
     def touched(self, subject_id: int, stage: str) -> set[int]:
         return self.stages.get((subject_id, stage), set())
 
@@ -194,102 +202,97 @@ def summarize_folds(folds: Sequence[FoldResult]) -> MetricSummary:
     )
 
 
-def _fold_seed(seed: int, subject_id: int) -> int:
+def fold_seed(seed: int, subject_id: int) -> int:
+    """The seed of one fold: its search, default config and inner holdout."""
     return int(np.random.SeedSequence([seed, int(subject_id)]).generate_state(1)[0])
 
 
+@dataclass(frozen=True, eq=False)
+class FoldPlan:
+    """One (dataset, target) laid out once for leave-one-subject-out.
+
+    Holds the float matrix, labels, groups and row ids, the folds (indices
+    into those arrays, never copies) and each fold's seed.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    groups: np.ndarray
+    row_ids: np.ndarray
+    folds: tuple[LosoFold, ...]
+    seeds: tuple[int, ...]
+    feature_names: tuple[str, ...] = FEATURE_NAMES
+
+    @classmethod
+    def build(cls, dataset: Dataset, target: str, seed: int) -> "FoldPlan":
+        folds = tuple(loso_split(dataset))
+        return cls(
+            X=dataset.matrix(),
+            y=dataset.labels(target),
+            groups=dataset.groups(),
+            row_ids=np.array([r.row_id for r in dataset.rows]),
+            folds=folds,
+            seeds=tuple(fold_seed(seed, f.subject_id) for f in folds),
+        )
+
+    def columns(self, names: Sequence[str]) -> "FoldPlan":
+        """The same plan over the named features only, in the given order."""
+        names = tuple(names)
+        unknown = [n for n in names if n not in self.feature_names]
+        if unknown:
+            raise InvalidArgumentError(f"unknown features requested: {unknown}")
+        cols = [self.feature_names.index(n) for n in names]
+        return replace(self, X=np.ascontiguousarray(self.X[:, cols]), feature_names=names)
+
+
+def search_fold(
+    plan: FoldPlan, index: int, search_budget: int, space: SearchSpace | None = None
+) -> TrainConfig:
+    """Random search on the training subjects of fold ``index``, seeded by
+    the fold; global search mode runs it once, on the first fold."""
+    tr = plan.folds[index].train_idx
+    return random_search(
+        plan.X[tr], plan.y[tr], plan.groups[tr],
+        space=space, iterations=search_budget, seed=plan.seeds[index],
+    )
+
+
 def run_fold(
-    dataset: Dataset,
-    fold: LosoFold,
-    target: str,
+    plan: FoldPlan,
+    index: int,
     search_budget: int,
-    seed: int,
     space: SearchSpace | None = None,
     fixed_config: TrainConfig | None = None,
-    feature_subset: Sequence[str] | None = None,
-    audit: RunAudit | None = None,
-    return_model: bool = False,
-):
-    """Search (train subjects only), train, and score one fold."""
-    fold_seed = _fold_seed(seed, fold.subject_id)
-    X = dataset.matrix(feature_subset)
-    y = dataset.labels(target)
-    groups = dataset.groups()
-    row_ids = np.array([r.row_id for r in dataset.rows])
+) -> tuple[FoldResult, GbdtModel | None, tuple]:
+    """Search (train subjects only), train, and score fold ``index``.
+
+    Returns the result, the fold's model (None when the fold failed) and
+    the audit stages: (stage, row ids) pairs in the order they ran.
+    """
+    fold = plan.folds[index]
+    seed = plan.seeds[index]
     tr, te = fold.train_idx, fold.test_idx
+    stages = []
     try:
-        if fixed_config is not None or search_budget < 1:
-            cfg = fixed_config or TrainConfig(seed=fold_seed)
+        if fixed_config is None and search_budget >= 1:
+            stages.append(("search", plan.row_ids[tr]))
+            cfg = search_fold(plan, index, search_budget, space)
         else:
-            if audit is not None:
-                audit.record(fold.subject_id, "search", row_ids[tr])
-            cfg = random_search(
-                X[tr], y[tr], groups[tr], space=space,
-                iterations=search_budget, seed=fold_seed,
-            )
-        if audit is not None:
-            audit.record(fold.subject_id, "train", row_ids[tr])
-        inner_train, inner_valid = inner_holdout_split(groups[tr], fold_seed)
+            cfg = fixed_config or TrainConfig(seed=seed)
+        stages.append(("train", plan.row_ids[tr]))
+        inner_train, inner_valid = inner_holdout_split(plan.groups[tr], seed)
+        fit_rows, valid_rows = tr[inner_train], tr[inner_valid]
         model = train(
-            X[tr][inner_train], y[tr][inner_train],
-            (X[tr][inner_valid], y[tr][inner_valid]),
-            cfg,
-            feature_names=tuple(feature_subset) if feature_subset else FEATURE_NAMES,
+            plan.X[fit_rows], plan.y[fit_rows], (plan.X[valid_rows], plan.y[valid_rows]),
+            cfg, feature_names=plan.feature_names,
         )
     except DegenerateLabelsError as exc:
         result = FoldResult(fold.subject_id, te.size, math.nan, math.nan, None, 0, True, str(exc))
-        return (result, None) if return_model else result
-    margins = predict_margin(model, X[te])
-    pred = (margins > 0).astype(int)
-    m = compute_metrics(y[te], pred)
+        return result, None, tuple(stages)
+    pred = (predict_margin(model, plan.X[te]) > 0).astype(int)
+    m = compute_metrics(plan.y[te], pred)
     result = FoldResult(fold.subject_id, te.size, m.accuracy, m.f1, cfg, model.best_iteration)
-    return (result, model) if return_model else result
-
-
-def run_loso(
-    dataset: Dataset,
-    target: str,
-    search_budget: int,
-    seed: int,
-    space: SearchSpace | None = None,
-    fixed_config: TrainConfig | None = None,
-    search_mode: str = "per-fold",
-    feature_subset: Sequence[str] | None = None,
-    audit: RunAudit | None = None,
-) -> CvReport:
-    """Full leave-one-subject-out sweep, deterministic given the seed.
-
-    ``search_mode="global"`` runs the hyperparameter search once on the
-    first fold's training subjects and reuses its config everywhere; the
-    default searches per fold. Folds whose training labels collapse to one
-    class are flagged and excluded from the aggregates.
-    """
-    if search_mode not in ("per-fold", "global"):
-        raise InvalidArgumentError(f"unknown search_mode {search_mode!r}")
-    folds = loso_split(dataset)
-    cfg = fixed_config
-    if search_mode == "global" and cfg is None and search_budget >= 1:
-        first = folds[0]
-        X = dataset.matrix(feature_subset)
-        y = dataset.labels(target)
-        groups = dataset.groups()
-        if audit is not None:
-            row_ids = np.array([r.row_id for r in dataset.rows])
-            audit.record(first.subject_id, "search", row_ids[first.train_idx])
-        cfg = random_search(
-            X[first.train_idx], y[first.train_idx], groups[first.train_idx],
-            space=space, iterations=search_budget, seed=_fold_seed(seed, first.subject_id),
-        )
-    results = [
-        run_fold(
-            dataset, fold, target, search_budget, seed,
-            space=space, fixed_config=cfg, feature_subset=feature_subset, audit=audit,
-        )
-        for fold in folds
-    ]
-    summary = summarize_folds(results)
-    failed = tuple(f.subject_id for f in results if f.failed)
-    return CvReport(target, tuple(results), summary, failed)
+    return result, model, tuple(stages)
 
 
 def wilcoxon_signed_rank(a, b) -> float:

@@ -230,21 +230,19 @@ def _check_x(model: GbdtModel, x) -> np.ndarray:
     return x
 
 
-def shap_values(model: GbdtModel, x) -> ShapExplanation:
-    """Exact per-feature Shapley attributions of the sample's margin."""
-    x = _check_x(model, x)
-    flats = _used_trees(model)
-    phi = _phi_for_sample(model, flats, x)
-    return ShapExplanation(phi, expected_margin(model), model.feature_names)
-
-
-def shap_values_batch(model: GbdtModel, X: np.ndarray) -> list[ShapExplanation]:
+def shap_values_batch(model: GbdtModel, X) -> list[ShapExplanation]:
+    """Exact per-feature Shapley attributions of each row's margin; a single
+    feature vector counts as one row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise InvalidArgumentError(
+            f"expected rows of {model.n_features} features, got shape {X.shape}"
+        )
     flats = _used_trees(model)
     base = expected_margin(model)
     return [
-        ShapExplanation(_phi_for_sample(model, flats, X[i]), base, model.feature_names)
-        for i in range(X.shape[0])
+        ShapExplanation(_phi_for_sample(model, flats, x), base, model.feature_names)
+        for x in X
     ]
 
 

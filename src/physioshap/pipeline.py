@@ -1,6 +1,8 @@
 """Orchestration: trials through preprocessing, decomposition, and feature
-extraction into datasets; per-fold explanation pooling; the feature-selection
-sweep; and the validated run configuration shared by the CLI subcommands.
+extraction into datasets; the two LOSO drivers, both over one FoldPlan per
+target (explained LOSO with per-fold or global search, and the
+feature-selection sweep); and the validated run configuration shared by the
+CLI subcommands.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from .evaluate import (
     CvReport,
     Dataset,
     DatasetRow,
+    FoldPlan,
     MetricSummary,
     RunAudit,
-    loso_split,
     run_fold,
+    search_fold,
     summarize_folds,
 )
 from .explain import (
@@ -32,7 +35,7 @@ from .explain import (
     select_features,
     shap_values_batch,
 )
-from .gbdt import SearchSpace, TrainConfig
+from .gbdt import SearchSpace, TrainConfig, predict_margin, sigmoid
 from .signals import (
     SCR_PHASIC_KEY,
     SCR_TONIC_KEY,
@@ -43,6 +46,8 @@ from .signals import (
 )
 from .ssa import AUTO, SsaConfig, decompose, hard_threshold_rank
 from .synthetic import SyntheticSpec
+
+SEARCH_MODES = ("per-fold", "global")
 
 #: channel tag used in feature names; SCR appears as GSR
 CHANNEL_TAGS: dict[ChannelKind, str] = {
@@ -144,31 +149,26 @@ class ExplainedRun:
     predictions: tuple[PredictionRow, ...]
 
 
-def _explained_fold_worker(args):
-    dataset, fold, target, search_budget, seed, space, fixed_config = args
-    from .gbdt import predict_margin, sigmoid
+#: a pool worker's copy of the plan, received once through _adopt_plan
+_WORKER_PLAN: FoldPlan | None = None
 
-    local_audit = RunAudit()
-    result, model = run_fold(
-        dataset, fold, target, search_budget, seed,
-        space=space, fixed_config=fixed_config, audit=local_audit, return_model=True,
-    )
+
+def _adopt_plan(plan: FoldPlan) -> None:
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+
+
+def _explain_fold(plan: FoldPlan, index: int, search_budget: int, space, config):
+    """Run one fold, then explain and score its held-out rows with its model."""
+    result, model, stages = run_fold(plan, index, search_budget, space=space, fixed_config=config)
     if model is None:
-        return result, local_audit.stages, None, 0.0, (), ()
-    X = dataset.matrix()
-    y = dataset.labels(target)
-    exps = shap_values_batch(model, X[fold.test_idx])
-    phi = np.vstack([e.values for e in exps])
-    probs = sigmoid(predict_margin(model, X[fold.test_idx]))
-    row_ids = []
-    preds = []
-    for i, p in zip(fold.test_idx, probs):
-        row = dataset.rows[i]
-        row_ids.append(int(row.row_id))
-        preds.append(
-            PredictionRow(int(row.row_id), row.subject_id, row.trial_id, int(y[i]), float(p))
-        )
-    return result, local_audit.stages, phi, exps[0].base_value, tuple(row_ids), tuple(preds)
+        return result, stages, None
+    X_test = plan.X[plan.folds[index].test_idx]
+    return result, stages, (shap_values_batch(model, X_test), sigmoid(predict_margin(model, X_test)))
+
+
+def _explain_fold_in_worker(task):
+    return _explain_fold(_WORKER_PLAN, *task)
 
 
 def run_loso_explained(
@@ -186,86 +186,49 @@ def run_loso_explained(
     fold's own model, pooling the attributions for a global ranking.
 
     ``search_mode="global"`` searches once on the first fold's training
-    subjects and reuses that config everywhere. Folds fan out to a process
-    pool when jobs > 1; per-fold seeding keeps the result identical to the
-    sequential run.
+    subjects and reuses that config everywhere. Folds whose training labels
+    collapse to one class are flagged and left out of the aggregates. Folds
+    fan out to a process pool when jobs > 1, each worker receiving the plan
+    once; per-fold seeding keeps the result identical to the sequential run.
     """
-    from .entropy import FEATURE_NAMES
-    from .evaluate import _fold_seed
-    from .gbdt import random_search
-
-    folds = loso_split(dataset)
-    if search_mode not in ("per-fold", "global"):
+    if search_mode not in SEARCH_MODES:
         raise ConfigError(f"unknown search_mode {search_mode!r}")
+    plan = FoldPlan.build(dataset, target, seed)
     if search_mode == "global" and fixed_config is None and search_budget >= 1:
-        first = folds[0]
+        first = plan.folds[0]
         if audit is not None:
-            row_ids = np.array([r.row_id for r in dataset.rows])
-            audit.record(first.subject_id, "search", row_ids[first.train_idx])
-        fixed_config = random_search(
-            dataset.matrix()[first.train_idx],
-            dataset.labels(target)[first.train_idx],
-            dataset.groups()[first.train_idx],
-            space=space,
-            iterations=search_budget,
-            seed=_fold_seed(seed, first.subject_id),
-        )
-    tasks = [
-        (dataset, fold, target, search_budget, seed, space, fixed_config) for fold in folds
-    ]
+            audit.record(first.subject_id, "search", plan.row_ids[first.train_idx])
+        fixed_config = search_fold(plan, 0, search_budget, space)
+    tasks = [(i, search_budget, space, fixed_config) for i in range(len(plan.folds))]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_explained_fold_worker, tasks))
+        with ProcessPoolExecutor(jobs, initializer=_adopt_plan, initargs=(plan,)) as pool:
+            outcomes = list(pool.map(_explain_fold_in_worker, tasks))
     else:
-        outcomes = [_explained_fold_worker(t) for t in tasks]
+        outcomes = [_explain_fold(plan, *task) for task in tasks]
     results = []
     explanations: list[ShapExplanation] = []
-    row_ids: list[int] = []
     predictions: list[PredictionRow] = []
-    for result, fold_stages, phi, base, fold_rows, fold_preds in outcomes:
+    for fold, (result, stages, explained) in zip(plan.folds, outcomes):
         results.append(result)
         if audit is not None:
-            for (subject, stage), ids in fold_stages.items():
-                audit.record(subject, stage, ids)
-        if phi is None:
+            audit.record_fold(fold.subject_id, stages)
+        if explained is None:
             continue
-        explanations.extend(
-            ShapExplanation(phi[k], base, FEATURE_NAMES) for k in range(phi.shape[0])
-        )
-        row_ids.extend(fold_rows)
-        predictions.extend(fold_preds)
+        fold_explanations, probs = explained
+        explanations.extend(fold_explanations)
+        for i, p in zip(fold.test_idx, probs):
+            row = dataset.rows[i]
+            predictions.append(
+                PredictionRow(int(row.row_id), row.subject_id, row.trial_id, int(plan.y[i]), float(p))
+            )
     report = CvReport(
         target, tuple(results), summarize_folds(results),
         tuple(f.subject_id for f in results if f.failed),
     )
-    importance = global_importance(explanations)
-    return ExplainedRun(report, tuple(explanations), tuple(row_ids), importance, tuple(predictions))
-
-
-def loso_subset_evaluator(
-    dataset: Dataset,
-    target: str,
-    seed: int,
-    configs_by_subject: Mapping[int, TrainConfig],
-    audit: RunAudit | None = None,
-):
-    """Build the selection callback: evaluate a feature prefix by rerunning
-    LOSO with each fold's already-chosen config restricted to that prefix."""
-    folds = loso_split(dataset)
-
-    def evaluate(feature_subset: tuple[str, ...]) -> MetricSummary:
-        results = []
-        for fold in folds:
-            cfg = configs_by_subject.get(fold.subject_id)
-            results.append(
-                run_fold(
-                    dataset, fold, target, 0, seed,
-                    fixed_config=cfg, feature_subset=feature_subset, audit=audit,
-                )
-            )
-        return summarize_folds(results)
-
-    return evaluate
+    return ExplainedRun(
+        report, tuple(explanations), tuple(p.row_id for p in predictions),
+        global_importance(explanations), tuple(predictions),
+    )
 
 
 def selection_sweep(
@@ -276,9 +239,21 @@ def selection_sweep(
     audit: RunAudit | None = None,
     k_values: Sequence[int] | None = None,
 ) -> SelectionResult:
-    """Importance-ordered k-sweep reusing the per-fold configs of ``run``."""
+    """Importance-ordered k-sweep: each top-k prefix reruns LOSO on those
+    columns of one plan, every fold with its config from ``run``."""
+    plan = FoldPlan.build(dataset, target, seed)
     configs = {f.subject_id: f.config for f in run.report.folds if not f.failed}
-    evaluate = loso_subset_evaluator(dataset, target, seed, configs, audit=audit)
+
+    def evaluate(names: tuple[str, ...]) -> MetricSummary:
+        prefix = plan.columns(names)
+        results = []
+        for i, fold in enumerate(prefix.folds):
+            result, _, stages = run_fold(prefix, i, 0, fixed_config=configs.get(fold.subject_id))
+            results.append(result)
+            if audit is not None:
+                audit.record_fold(fold.subject_id, stages)
+        return summarize_folds(results)
+
     return select_features(run.importance, evaluate, k_values=k_values)
 
 
@@ -306,7 +281,7 @@ class RunConfig:
     def __post_init__(self):
         if self.search_iterations < 0:
             raise ConfigError("search_iterations must be >= 0")
-        if self.search_mode not in ("per-fold", "global"):
+        if self.search_mode not in SEARCH_MODES:
             raise ConfigError(f"unknown search_mode {self.search_mode!r}")
         bad = [t for t in self.targets if t not in ("valence", "arousal", "liking")]
         if bad or not self.targets:

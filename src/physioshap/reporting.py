@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import FEATURE_NAMES
 from .errors import InvalidArgumentError, SchemaMismatchError
-from .evaluate import CvReport, Dataset, FoldResult, MetricSummary
+from .evaluate import CvReport, Dataset, DatasetRow, FoldResult, MetricSummary
 from .explain import ImportanceRanking, SelectionResult, SelectionRow, ShapExplanation
 from .gbdt import TrainConfig
 from .pipeline import ExplainedRun, PredictionRow
@@ -29,44 +29,13 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def _config_dict(cfg: TrainConfig | None):
-    return dataclasses.asdict(cfg) if cfg is not None else None
-
-
-def _fold_dict(f: FoldResult) -> dict:
-    return {
-        "subject_id": f.subject_id,
-        "n_test": f.n_test,
-        "accuracy": f.accuracy,
-        "f1": f.f1,
-        "best_iteration": f.best_iteration,
-        "failed": f.failed,
-        "reason": f.reason,
-        "config": _config_dict(f.config),
-    }
-
-
 def cv_report_to_dict(report: CvReport) -> dict:
-    return {
-        "target": report.target,
-        "folds": [_fold_dict(f) for f in report.folds],
-        "summary": dataclasses.asdict(report.summary),
-        "failed_subjects": list(report.failed_subjects),
-    }
+    return dataclasses.asdict(report)
 
 
 def _fold_from_dict(d: dict) -> FoldResult:
     cfg = TrainConfig(**d["config"]) if d["config"] is not None else None
-    return FoldResult(
-        subject_id=d["subject_id"],
-        n_test=d["n_test"],
-        accuracy=d["accuracy"],
-        f1=d["f1"],
-        config=cfg,
-        best_iteration=d["best_iteration"],
-        failed=d["failed"],
-        reason=d["reason"],
-    )
+    return FoldResult(**{**d, "config": cfg})
 
 
 def cv_report_from_dict(d: dict) -> CvReport:
@@ -106,19 +75,11 @@ def explained_run_from_dict(d: dict) -> ExplainedRun:
 
 
 def selection_to_dict(sel: SelectionResult) -> dict:
-    return {
-        "rows": [dataclasses.asdict(r) for r in sel.rows],
-        "best_k_accuracy": sel.best_k_accuracy,
-        "best_k_f1": sel.best_k_f1,
-    }
+    return dataclasses.asdict(sel)
 
 
 def selection_from_dict(d: dict) -> SelectionResult:
-    return SelectionResult(
-        rows=tuple(SelectionRow(**r) for r in d["rows"]),
-        best_k_accuracy=d["best_k_accuracy"],
-        best_k_f1=d["best_k_f1"],
-    )
+    return SelectionResult(**{**d, "rows": tuple(SelectionRow(**r) for r in d["rows"])})
 
 
 def save_json(doc, path) -> None:
@@ -141,17 +102,21 @@ def load_artifact(path, parse):
         raise SchemaMismatchError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
 
-def write_explanations_csv(run: ExplainedRun, dataset: Dataset, path) -> None:
-    """Sample x feature attribution table for the pooled test explanations."""
-    rows_by_id = {r.row_id: r for r in dataset.rows}
-    names = run.explanations[0].feature_names if run.explanations else FEATURE_NAMES
+def write_shap_csv(rows: Sequence[DatasetRow], explanations: Sequence[ShapExplanation], path) -> None:
+    """Sample x feature attribution table, one line per explained row."""
+    names = explanations[0].feature_names if explanations else FEATURE_NAMES
     with Path(path).open("w", newline="") as fh:
         fh.write("subject,trial,base_value," + ",".join(names) + "\n")
-        for row_id, exp in zip(run.row_ids, run.explanations):
-            r = rows_by_id[row_id]
+        for r, exp in zip(rows, explanations):
             cells = [str(r.subject_id), str(r.trial_id), repr(float(exp.base_value))]
             cells += [repr(float(v)) for v in exp.values]
             fh.write(",".join(cells) + "\n")
+
+
+def write_explanations_csv(run: ExplainedRun, dataset: Dataset, path) -> None:
+    """The SHAP table of the pooled held-out explanations of a LOSO run."""
+    rows_by_id = {r.row_id: r for r in dataset.rows}
+    write_shap_csv([rows_by_id[i] for i in run.row_ids], run.explanations, path)
 
 
 @dataclass(frozen=True)

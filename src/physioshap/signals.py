@@ -47,6 +47,11 @@ def _as_values(ts) -> np.ndarray:
     return arr
 
 
+def _sample_rate(ts) -> float:
+    """The rate of a TimeSeries; a plain array takes TimeSeries's default."""
+    return ts.sample_rate_hz if isinstance(ts, TimeSeries) else TimeSeries.sample_rate_hz
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A uniformly sampled scalar signal.
@@ -179,7 +184,7 @@ def moving_average_smooth(ts: TimeSeries, span: int) -> TimeSeries:
     lo, hi = _window_bounds(x.size, span)
     csum = np.concatenate(([0.0], np.cumsum(x)))
     out = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     return TimeSeries(out, rate)
 
 
@@ -189,7 +194,7 @@ def baseline_correct(ts: TimeSeries, baseline: TimeSeries) -> TimeSeries:
     b = _as_values(baseline)
     if b.size == 0:
         raise InvalidArgumentError("baseline must be non-empty")
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     return TimeSeries(x - b.mean(), rate)
 
 
@@ -199,7 +204,7 @@ def znormalize(ts: TimeSeries) -> TimeSeries:
     sd = x.std()
     if sd == 0.0:
         raise DegenerateSignalError("cannot z-normalize a zero-variance signal")
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     return TimeSeries((x - x.mean()) / sd, rate)
 
 
@@ -214,7 +219,7 @@ def detrend_quadratic(ts: TimeSeries) -> TimeSeries:
         raise InvalidArgumentError("quadratic detrend needs at least 3 samples")
     t = np.arange(x.size, dtype=np.float64)
     fit = np.polynomial.Polynomial.fit(t, x, deg=2)
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     return TimeSeries(x - fit(t), rate)
 
 
@@ -226,7 +231,7 @@ def scr_split(ts: TimeSeries, tonic_window_s: float) -> tuple[TimeSeries, TimeSe
     remainder, so phasic + tonic reproduces the input exactly.
     """
     x = _as_values(ts)
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     w = int(round(tonic_window_s * rate))
     if w < 3:
         raise InvalidArgumentError(

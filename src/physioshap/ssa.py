@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .signals import ChannelKind, TimeSeries, _as_values
+from .signals import ChannelKind, TimeSeries, _as_values, _sample_rate
 
 AUTO = "auto"
 
@@ -124,7 +124,7 @@ def decompose(ts, cfg: SsaConfig | None = None) -> SsaDecomposition:
     """
     cfg = cfg or SsaConfig()
     x = _as_values(ts)
-    rate = ts.sample_rate_hz if isinstance(ts, TimeSeries) else 128.0
+    rate = _sample_rate(ts)
     traj = embed(x, cfg.window_len)
     s = traj @ traj.T
     try:

@@ -20,9 +20,8 @@ from physioshap.evaluate import (
     DatasetRow,
     RunAudit,
     compute_metrics,
-    run_loso,
 )
-from physioshap.explain import brute_force_shapley, shap_interactions, shap_values
+from physioshap.explain import brute_force_shapley, shap_interactions, shap_values_batch
 from physioshap.gbdt import (
     GbdtModel,
     TreeNode,
@@ -135,8 +134,7 @@ def test_criterion_04_shap_local_accuracy(rng):
         for _ in range(20):
             model, X = random_model(rng)
             margins = predict_margin(model, X)
-            for i in range(X.shape[0]):
-                exp = shap_values(model, X[i])
+            for i, exp in enumerate(shap_values_batch(model, X)):
                 assert abs(exp.base_value + exp.values.sum() - margins[i]) < 1e-6
 
 
@@ -149,7 +147,7 @@ def test_criterion_05_shap_oracle_equivalence(rng):
                 rng, n_features=n_features, max_rounds=int(rng.integers(2, 21)), max_depth=int(rng.integers(1, 5))
             )
             x = X[int(rng.integers(X.shape[0]))]
-            fast = shap_values(model, x)
+            (fast,) = shap_values_batch(model, x)
             slow = brute_force_shapley(model, x)
             assert np.abs(fast.values - slow.values).max() <= 1e-8
         elapsed = time.perf_counter() - t0
@@ -163,7 +161,7 @@ def test_criterion_06_interaction_consistency(rng):
             x = X[int(rng.integers(X.shape[0]))]
             im = shap_interactions(model, x)
             assert np.abs(im.matrix - im.matrix.T).max() <= 1e-9
-            sv = shap_values(model, x)
+            (sv,) = shap_values_batch(model, x)
             assert np.abs(im.matrix.sum(axis=1) - sv.values).max() <= 1e-6
         # additive two-feature model: no interactions
         t0 = TreeNode(cover=2.0, split_feature=0, threshold=0.0,
@@ -227,7 +225,7 @@ def test_criterion_09_end_to_end_synthetic(es1_runs):
         for target in ("valence", "arousal", "liking"):
             y = ds0.labels(target)
             baseline = compute_metrics(y, np.ones_like(y)).f1
-            rep = run_loso(ds0, target, search_budget=30, seed=RUN_SEED)
+            rep = run_loso_explained(ds0, target, search_budget=30, seed=RUN_SEED).report
             assert abs(rep.summary.f1 - baseline) <= 0.1, (
                 f"{target}: f1 {rep.summary.f1:.3f} vs baseline {baseline:.3f}"
             )
@@ -333,5 +331,5 @@ def test_criterion_13_deap_replication():
         ds = extract_dataset(trials, jobs=jobs)
         published = {"valence": 0.814, "arousal": 0.823, "liking": 0.860}
         for target, expected in published.items():
-            rep = run_loso(ds, target, search_budget=300, seed=RUN_SEED)
+            rep = run_loso_explained(ds, target, search_budget=300, seed=RUN_SEED).report
             assert abs(rep.summary.f1 - expected) <= 0.05

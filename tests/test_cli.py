@@ -1,12 +1,16 @@
 import json
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import small_config
 from physioshap import cli
 from physioshap.cli import main
 from physioshap.dataio import write_features_csv
+from physioshap.explain import shap_values_batch
+from physioshap.gbdt import predict_margin, save_model, train
 from test_evaluate import make_feature_dataset
 
 
@@ -121,6 +125,36 @@ class TestLosoPipeline:
         doc = json.loads((out / "interactions_valence.json").read_text())
         mat = np.array(doc["mean_abs_interaction"])
         assert mat.shape == (51, 51)
+
+    def test_explain_reads_the_model_features_by_name(self, workdir, rng):
+        # a model of two of the 51 columns, not the first two, whose trees
+        # split on the second one
+        tmp, cfg = workdir
+        ds = make_feature_dataset(rng, n_subjects=3, trials=8)
+        feats = tmp / "features.csv"
+        write_features_csv(ds, feats)
+        names = ("hEOG1_SE", "hEOG2_En")
+        X = ds.matrix(names)
+        y = (X[:, 1] > np.median(X[:, 1])).astype(int)
+        model = train(X, y, None, small_config(), feature_names=names)
+        assert any(1 in flat.feature for flat in model.flat_trees())
+        path = tmp / "model.json"
+        save_model(model, path)
+        out = tmp / "out"
+        argv = ("explain", "--config", cfg, "--features", feats, "--model", path, "--target", "valence")
+        assert run(*argv, "--out", out) == 0
+        lines = (out / "shap_valence.csv").read_text().splitlines()
+        assert lines[0] == "subject,trial,base_value," + ",".join(names)
+        written = np.array([[float(c) for c in line.split(",")[2:]] for line in lines[1:]])
+        expected = [[e.base_value, *e.values] for e in shap_values_batch(model, X)]
+        np.testing.assert_array_equal(written, expected)
+        np.testing.assert_allclose(written.sum(axis=1), predict_margin(model, X), atol=1e-6)
+        assert run(*argv, "--interactions", "--out", out) == 0
+        doc = json.loads((out / "interactions_valence.json").read_text())
+        assert doc["feature_names"] == list(names)
+        # a model feature the table lacks is a validation error
+        save_model(replace(model, feature_names=("hEOG1_SE", "nope")), path)
+        assert run(*argv, "--out", tmp / "out2") == 1
 
     def test_report_without_loso_artifacts(self, workdir, rng):
         tmp, cfg = workdir

@@ -12,14 +12,17 @@ from physioshap.errors import (
 from physioshap.evaluate import (
     Dataset,
     DatasetRow,
+    FoldPlan,
     RunAudit,
     binarize_label,
     compute_metrics,
+    fold_seed,
     loso_split,
-    run_loso,
+    run_fold,
     summarize_folds,
     wilcoxon_signed_rank,
 )
+from physioshap.pipeline import run_loso_explained
 from reference import wilcoxon_exact_reference
 
 
@@ -109,14 +112,14 @@ class TestLosoSplit:
 class TestRunLoso:
     def test_separable_dataset_perfect(self, rng):
         ds = make_feature_dataset(rng, n_subjects=4, trials=10, informative=True)
-        report = run_loso(ds, "valence", search_budget=0, seed=1,
-                          fixed_config=small_config(max_rounds=30))
+        report = run_loso_explained(ds, "valence", search_budget=0, seed=1,
+                                    fixed_config=small_config(max_rounds=30)).report
         assert all(f.accuracy == 1.0 for f in report.folds)
 
     def test_deterministic(self, rng):
         ds = make_feature_dataset(rng, n_subjects=4, trials=8)
-        a = run_loso(ds, "valence", search_budget=2, seed=3)
-        b = run_loso(ds, "valence", search_budget=2, seed=3)
+        a = run_loso_explained(ds, "valence", search_budget=2, seed=3).report
+        b = run_loso_explained(ds, "valence", search_budget=2, seed=3).report
         assert a == b
 
     def test_failed_fold_flagged_and_excluded(self, rng):
@@ -133,8 +136,8 @@ class TestRunLoso:
                                        {"valence": rating, "arousal": 5.0, "liking": 5.0}))
                 rid += 1
         ds = Dataset(rows)
-        report = run_loso(ds, "valence", search_budget=0, seed=0,
-                          fixed_config=small_config())
+        report = run_loso_explained(ds, "valence", search_budget=0, seed=0,
+                                    fixed_config=small_config()).report
         assert 1 in report.failed_subjects
         ok = [f for f in report.folds if not f.failed]
         assert ok, "expected at least one successful fold"
@@ -144,7 +147,7 @@ class TestRunLoso:
     def test_audit_no_leakage(self, rng):
         ds = make_feature_dataset(rng, n_subjects=5, trials=10)
         audit = RunAudit()
-        report = run_loso(ds, "valence", search_budget=2, seed=5, audit=audit)
+        report = run_loso_explained(ds, "valence", search_budget=2, seed=5, audit=audit).report
         ids_by_subject = {}
         for r in ds.rows:
             ids_by_subject.setdefault(r.subject_id, set()).add(r.row_id)
@@ -162,14 +165,49 @@ class TestRunLoso:
 
     def test_standard_error_recomputable(self, rng):
         ds = make_feature_dataset(rng, n_subjects=5, trials=6)
-        report = run_loso(ds, "valence", search_budget=0, seed=2,
-                          fixed_config=small_config(max_rounds=10))
+        report = run_loso_explained(ds, "valence", search_budget=0, seed=2,
+                                    fixed_config=small_config(max_rounds=10)).report
         acc = report.per_fold("accuracy")
         assert report.summary.accuracy_se == pytest.approx(
             acc.std(ddof=1) / math.sqrt(acc.size), abs=1e-12
         )
         summary2 = summarize_folds(report.folds)
         assert summary2 == report.summary
+
+
+class TestFoldPlan:
+    def test_built_once_from_the_dataset(self, rng):
+        ds = make_feature_dataset(rng, n_subjects=3, trials=4)
+        plan = FoldPlan.build(ds, "valence", seed=9)
+        np.testing.assert_array_equal(plan.X, ds.matrix())
+        np.testing.assert_array_equal(plan.y, ds.labels("valence"))
+        np.testing.assert_array_equal(plan.groups, ds.groups())
+        assert plan.row_ids.tolist() == [r.row_id for r in ds.rows]
+        assert [f.subject_id for f in plan.folds] == ds.subjects
+        assert plan.seeds == tuple(fold_seed(9, s) for s in ds.subjects)
+
+    def test_columns_share_everything_but_the_matrix(self, rng):
+        ds = make_feature_dataset(rng, n_subjects=3, trials=4)
+        plan = FoldPlan.build(ds, "valence", seed=0)
+        names = ("PPG1_SE", "hEOG1_SE")
+        prefix = plan.columns(names)
+        np.testing.assert_array_equal(prefix.X, ds.matrix(names))
+        assert prefix.feature_names == names
+        assert prefix.y is plan.y and prefix.folds is plan.folds
+        with pytest.raises(InvalidArgumentError):
+            plan.columns(["nope"])
+
+    def test_run_fold_returns_model_and_stages(self, rng):
+        ds = make_feature_dataset(rng, n_subjects=4, trials=8)
+        plan = FoldPlan.build(ds, "valence", seed=1)
+        result, model, stages = run_fold(plan, 2, 1)
+        assert not result.failed and model is not None
+        train_ids = plan.row_ids[plan.folds[2].train_idx]
+        assert [s for s, _ in stages] == ["search", "train"]
+        for _, ids in stages:
+            np.testing.assert_array_equal(ids, train_ids)
+        _, _, stages = run_fold(plan, 2, 0, fixed_config=small_config())
+        assert [s for s, _ in stages] == ["train"]
 
 
 class TestWilcoxon:

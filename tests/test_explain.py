@@ -12,7 +12,7 @@ from physioshap.explain import (
     global_importance,
     select_features,
     shap_interactions,
-    shap_values,
+    shap_values_batch,
     total_interaction_ranking,
 )
 from physioshap.gbdt import GbdtModel, TreeNode, predict_margin, train
@@ -34,7 +34,7 @@ class TestShapValues:
     def test_single_leaf_model(self):
         leaf = TreeNode(cover=5.0, value=1.5)
         model = GbdtModel([leaf], 0.4, 0.3, ("f0", "f1"), 1)
-        exp = shap_values(model, np.array([0.0, 0.0]))
+        (exp,) = shap_values_batch(model, np.array([0.0, 0.0]))
         np.testing.assert_allclose(exp.values, 0.0)
         assert exp.base_value == pytest.approx(0.3 + 0.4 * 1.5)
 
@@ -42,15 +42,14 @@ class TestShapValues:
         for _ in range(20):
             model, X = random_model(rng)
             margins = predict_margin(model, X)
-            for i in range(0, X.shape[0], 7):
-                exp = shap_values(model, X[i])
+            for i, exp in zip(range(0, X.shape[0], 7), shap_values_batch(model, X[::7])):
                 assert abs(exp.base_value + exp.values.sum() - margins[i]) < 1e-6
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
             model, X = random_model(rng, n_features=int(rng.integers(2, 6)))
             x = X[int(rng.integers(X.shape[0]))]
-            fast = shap_values(model, x)
+            (fast,) = shap_values_batch(model, x)
             slow = brute_force_shapley(model, x)
             np.testing.assert_allclose(fast.values, slow.values, atol=1e-8)
             assert fast.base_value == pytest.approx(slow.base_value, abs=1e-10)
@@ -58,7 +57,7 @@ class TestShapValues:
     def test_missing_feature_has_zero_attribution(self, rng):
         # second feature never used by the single-split tree
         model = single_split_model()
-        exp = shap_values(model, np.array([0.7, 123.0]))
+        (exp,) = shap_values_batch(model, np.array([0.7, 123.0]))
         assert exp.values[1] == 0.0
 
     def test_cover_required(self):
@@ -66,12 +65,18 @@ class TestShapValues:
             [TreeNode(cover=0.0, value=1.0)], 0.1, 0.0, ("f0",), 1
         )
         with pytest.raises(ModelIncompatibleError):
-            shap_values(bad, np.array([1.0]))
+            shap_values_batch(bad, np.array([1.0]))
 
     def test_dimension_check(self):
         model = single_split_model()
         with pytest.raises(InvalidArgumentError):
-            shap_values(model, np.array([1.0, 2.0, 3.0]))
+            shap_values_batch(model, np.array([1.0, 2.0, 3.0]))
+        # a matrix wider than the model is refused too, not explained by
+        # its first columns
+        with pytest.raises(InvalidArgumentError):
+            shap_values_batch(model, np.zeros((4, 51)))
+        with pytest.raises(InvalidArgumentError):
+            shap_values_batch(model, np.zeros((1, 4, 2)))
 
     def test_consistency_spot_check(self):
         # adding a tree that relies more on feature 0 never lowers its phi
@@ -85,8 +90,8 @@ class TestShapValues:
         )
         bigger = GbdtModel(base.trees + [extra], base.learning_rate, base.base_score, base.feature_names, 2)
         x = np.array([0.6, 0.0])
-        phi_small = shap_values(base, x).values[0]
-        phi_big = shap_values(bigger, x).values[0]
+        phi_small = shap_values_batch(base, x)[0].values[0]
+        phi_big = shap_values_batch(bigger, x)[0].values[0]
         assert phi_big >= phi_small
 
 
@@ -123,7 +128,7 @@ class TestInteractions:
             x = X[int(rng.integers(X.shape[0]))]
             im = shap_interactions(model, x)
             np.testing.assert_allclose(im.matrix, im.matrix.T, atol=1e-9)
-            sv = shap_values(model, x)
+            (sv,) = shap_values_batch(model, x)
             np.testing.assert_allclose(im.matrix.sum(axis=1), sv.values, atol=1e-6)
 
     def test_additive_model_zero_offdiagonal(self):
@@ -173,7 +178,7 @@ class TestGlobalImportance:
         margin = 10.0 * X[:, 0] + 1.0 * X[:, 1]
         y = (margin + 0.1 * rng.normal(size=300) > 0).astype(float)
         model = train(X, y, None, small_config(max_rounds=20, num_leaves=8))
-        exps = [shap_values(model, X[i]) for i in range(0, 300, 10)]
+        exps = shap_values_batch(model, X[::10])
         ranking = global_importance(exps)
         assert ranking.entries[0][0] == "f0"
 

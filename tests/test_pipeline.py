@@ -192,3 +192,11 @@ class TestGlobalSearchMode:
         run = run_loso_explained(ds, "valence", search_budget=2, seed=4, search_mode="global")
         configs = {f.config for f in run.report.folds if not f.failed}
         assert len(configs) == 1
+
+    def test_unknown_mode_rejected(self, rng):
+        from physioshap.pipeline import run_loso_explained
+        from test_evaluate import make_feature_dataset
+
+        ds = make_feature_dataset(rng, n_subjects=3, trials=4)
+        with pytest.raises(ConfigError, match="search_mode"):
+            run_loso_explained(ds, "valence", 0, seed=0, search_mode="both")
