@@ -242,7 +242,7 @@ class FoldPlan:
         if unknown:
             raise InvalidArgumentError(f"unknown features requested: {unknown}")
         cols = [self.feature_names.index(n) for n in names]
-        return replace(self, X=np.ascontiguousarray(self.X[:, cols]), feature_names=names)
+        return replace(self, X=self.X.take(cols, axis=1), feature_names=names)
 
 
 def search_fold(

@@ -240,10 +240,9 @@ def shap_values_batch(model: GbdtModel, X) -> list[ShapExplanation]:
         )
     flats = _used_trees(model)
     base = expected_margin(model)
-    return [
-        ShapExplanation(_phi_for_sample(model, flats, x), base, model.feature_names)
-        for x in X
-    ]
+    # one matrix, so that each explanation holds a row view, not an array
+    phi = np.array([_phi_for_sample(model, flats, x) for x in X])
+    return [ShapExplanation(row, base, model.feature_names) for row in phi]
 
 
 def shap_interactions(model: GbdtModel, x) -> InteractionMatrix:
