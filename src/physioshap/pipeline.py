@@ -1,5 +1,5 @@
 """Orchestration: trials through preprocessing, decomposition, and feature
-extraction into datasets; the two LOSO drivers, both over one FoldPlan per
+extraction into datasets; the two LOSO loops, both over one FoldPlan per
 target (explained LOSO with per-fold or global search, and the
 feature-selection sweep); and the validated run configuration shared by the
 CLI subcommands.
