@@ -36,10 +36,10 @@ from .explain import (
     shap_values_batch,
 )
 from .gbdt import (
+    FlatTree,
     GbdtModel,
     SearchSpace,
     TrainConfig,
-    TreeNode,
     goss_sample,
     grow_tree,
     load_model,

@@ -168,6 +168,12 @@ def cmd_loso(args) -> int:
         reporting.save_json(reporting.explained_run_to_dict(run), out / f"loso_{target}.json")
         reporting.write_explanations_csv(run, dataset, out / f"explanations_{target}.csv")
         artifacts.append(reporting.TargetArtifacts(target=target, run=run))
+        if run.explanations and not any(e.values.any() for e in run.explanations):
+            print(
+                f"warning: {target}: every attribution is 0 because no fold model ever split; "
+                "the importance ranking is only the canonical feature order",
+                file=sys.stderr,
+            )
         s = run.report.summary
         print(
             f"{target}: accuracy {s.accuracy:.3f} (se {s.accuracy_se:.3f}), "

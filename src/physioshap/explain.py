@@ -82,7 +82,7 @@ def _check_cover(flats: Sequence[FlatTree]):
 
 
 def _used_trees(model: GbdtModel) -> list[FlatTree]:
-    flats = model.flat_trees()[: model.best_iteration]
+    flats = model.trees[: model.best_iteration]
     _check_cover(flats)
     return flats
 

@@ -9,15 +9,18 @@ exactly; thresholds sit at midpoints. Gradient-based one-side sampling
 keeps all large-gradient rows and up-weights a random sample of the rest,
 so weighted statistics stay unbiased.
 
-Every node carries its cover (sum of training weights routed through it),
-which downstream attribution uses to marginalize absent features.
+A tree is a ``FlatTree``, six node arrays that ``grow_tree`` fills as it
+splits and that prediction and attribution read; ``tree_to_dict`` and
+``tree_from_dict`` convert it to and from the nested JSON form of saved
+models. Every node carries its cover (sum of training weights routed through
+it), which downstream attribution uses to marginalize absent features.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,68 +29,25 @@ import numpy as np
 from .errors import DegenerateLabelsError, InvalidArgumentError, SchemaMismatchError
 
 
-@dataclass
-class TreeNode:
-    """One node of a regression tree: internal (split) or leaf (value)."""
-
-    cover: float
-    value: float | None = None
-    split_feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-
 class FlatTree:
-    """Array view of a tree for vectorized prediction and attribution.
+    """One regression tree as six parallel node arrays, root at index 0.
 
-    Leaves have children_left == -1; ``feature`` is -1 and ``threshold``
-    NaN on leaves.
+    Node ``i`` is a leaf when ``children_left[i] == -1``; leaves have
+    ``feature`` -1 and ``threshold`` NaN, internal nodes have ``value`` 0.0.
+    Children always follow their parent: ``grow_tree`` numbers nodes in
+    creation order, ``tree_from_dict`` in preorder. Prediction and
+    attribution walk the structure, so the numbering reaches no output.
     """
 
     __slots__ = ("children_left", "children_right", "feature", "threshold", "value", "cover")
 
-    def __init__(self, root: TreeNode):
-        def count(node: TreeNode) -> int:
-            return 1 if node.is_leaf else 1 + count(node.left) + count(node.right)
-
-        n = count(root)
-        self.children_left = np.full(n, -1, dtype=np.int64)
-        self.children_right = np.full(n, -1, dtype=np.int64)
-        self.feature = np.full(n, -1, dtype=np.int64)
-        self.threshold = np.full(n, np.nan)
-        self.value = np.zeros(n)
-        self.cover = np.zeros(n)
-        cursor = [0]
-
-        def assign(node: TreeNode) -> int:
-            idx = cursor[0]
-            cursor[0] += 1
-            self.cover[idx] = node.cover
-            if node.is_leaf:
-                self.value[idx] = node.value
-            else:
-                self.feature[idx] = node.split_feature
-                self.threshold[idx] = node.threshold
-                self.children_left[idx] = assign(node.left)
-                self.children_right[idx] = assign(node.right)
-            return idx
-
-        assign(root)
+    def __init__(self, children_left, children_right, feature, threshold, value, cover):
+        self.children_left = np.asarray(children_left, dtype=np.int64)
+        self.children_right = np.asarray(children_right, dtype=np.int64)
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.cover = np.asarray(cover, dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
@@ -160,17 +120,15 @@ class GbdtModel:
     ``best_iteration`` trees evaluated at x.
     """
 
-    trees: list[TreeNode]
+    trees: list[FlatTree]
     learning_rate: float
     base_score: float
     feature_names: tuple[str, ...]
     best_iteration: int
-    _flat: list[FlatTree] | None = field(default=None, repr=False, compare=False)
 
     def flat_trees(self) -> list[FlatTree]:
-        if self._flat is None or len(self._flat) != len(self.trees):
-            self._flat = [FlatTree(t) for t in self.trees]
-        return self._flat
+        # kept for perfbench's tracer, which reads it; the package reads ``trees``
+        return self.trees
 
     @property
     def n_features(self) -> int:
@@ -260,8 +218,12 @@ def grow_tree(
     weights: np.ndarray,
     cfg: TrainConfig,
     seed: int | np.random.Generator,
-) -> TreeNode:
-    """Grow one regression tree leaf-wise on weighted gradient statistics."""
+) -> FlatTree:
+    """Grow one regression tree leaf-wise on weighted gradient statistics.
+
+    Nodes are numbered in creation order; a node's cover is the sum of the
+    weights of its rows.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidArgumentError("grow_tree needs a non-empty sample matrix")
@@ -283,15 +245,20 @@ def grow_tree(
     wh = weights * hess
     lam = cfg.lambda_l2
 
-    def leaf_value(rows: np.ndarray) -> float:
-        return float(-wg[rows].sum() / (wh[rows].sum() + lam))
+    # (left, right, feature, threshold, value, cover) of each node
+    nodes: list[tuple] = []
 
-    root = TreeNode(cover=float(weights.sum()), value=leaf_value(np.arange(n)))
+    def add_leaf(rows: np.ndarray) -> int:
+        value = float(-wg[rows].sum() / (wh[rows].sum() + lam))
+        nodes.append((-1, -1, -1, math.nan, value, float(weights[rows].sum())))
+        return len(nodes) - 1
+
+    root = add_leaf(np.arange(n))
     # open leaves: node, rows, depth, best candidate split
-    candidates: list[tuple[float, int, TreeNode, np.ndarray, int, int, float]] = []
+    candidates: list[tuple[float, int, int, np.ndarray, int, int, float]] = []
     seq = 0
 
-    def push(node: TreeNode, rows: np.ndarray, depth: int):
+    def push(node: int, rows: np.ndarray, depth: int):
         nonlocal seq
         if depth >= cfg.max_depth:
             return
@@ -310,15 +277,12 @@ def grow_tree(
         gain, _, node, rows, depth, feat, thr = candidates.pop(i)
         mask = X[rows, feat] <= thr
         left_rows, right_rows = rows[mask], rows[~mask]
-        node.split_feature = feat
-        node.threshold = thr
-        node.value = None
-        node.left = TreeNode(cover=float(weights[left_rows].sum()), value=leaf_value(left_rows))
-        node.right = TreeNode(cover=float(weights[right_rows].sum()), value=leaf_value(right_rows))
+        left, right = add_leaf(left_rows), add_leaf(right_rows)
+        nodes[node] = (left, right, feat, thr, 0.0, nodes[node][5])
         leaves += 1
-        push(node.left, left_rows, depth + 1)
-        push(node.right, right_rows, depth + 1)
-    return root
+        push(left, left_rows, depth + 1)
+        push(right, right_rows, depth + 1)
+    return FlatTree(*zip(*nodes))
 
 
 def sigmoid(margin: np.ndarray) -> np.ndarray:
@@ -386,8 +350,7 @@ def train(
         v_margins = np.full(yv.size, base)
 
     master = np.random.default_rng(cfg.seed)
-    trees: list[TreeNode] = []
-    flats: list[FlatTree] = []
+    trees: list[FlatTree] = []
     # round 0 (prior-only model) competes in the argmin: rounds that never
     # beat the prior on validation leave best_iteration at 0
     best_loss = binary_logloss(yv, v_margins) if valid is not None else math.inf
@@ -402,13 +365,11 @@ def train(
             w = np.ones(y.size)
         else:
             idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
-        root = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng)
-        trees.append(root)
-        flat = FlatTree(root)
-        flats.append(flat)
-        margins = margins + cfg.learning_rate * flat.predict(X)
+        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng)
+        trees.append(tree)
+        margins = margins + cfg.learning_rate * tree.predict(X)
         if valid is not None:
-            v_margins = v_margins + cfg.learning_rate * flat.predict(Xv)
+            v_margins = v_margins + cfg.learning_rate * tree.predict(Xv)
             loss = binary_logloss(yv, v_margins)
             if loss < best_loss:
                 best_loss = loss
@@ -416,15 +377,13 @@ def train(
             elif rnd + 1 - best_round >= cfg.early_stop:
                 break
     best_iteration = best_round if valid is not None else len(trees)
-    model = GbdtModel(
+    return GbdtModel(
         trees=trees,
         learning_rate=cfg.learning_rate,
         base_score=base,
         feature_names=feature_names,
         best_iteration=best_iteration,
     )
-    model._flat = flats
-    return model
 
 
 def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
@@ -435,8 +394,8 @@ def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} features, got {X.shape[1]}"
         )
     margins = np.full(X.shape[0], model.base_score)
-    for flat in model.flat_trees()[: model.best_iteration]:
-        margins += model.learning_rate * flat.predict(X)
+    for tree in model.trees[: model.best_iteration]:
+        margins += model.learning_rate * tree.predict(X)
     return margins
 
 
@@ -455,28 +414,48 @@ def predict(model: GbdtModel, x: np.ndarray) -> tuple[float, float]:
 _FORMAT = "physioshap-gbdt"
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value, "cover": node.cover}
-    return {
-        "split_feature": node.split_feature,
-        "threshold": node.threshold,
-        "cover": node.cover,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def tree_to_dict(tree: FlatTree) -> dict:
+    """The nested JSON form of a tree: a leaf is ``{value, cover}``, an
+    internal node ``{split_feature, threshold, cover, left, right}``."""
+
+    def node(i: int) -> dict:
+        if tree.children_left[i] < 0:
+            return {"value": float(tree.value[i]), "cover": float(tree.cover[i])}
+        return {
+            "split_feature": int(tree.feature[i]),
+            "threshold": float(tree.threshold[i]),
+            "cover": float(tree.cover[i]),
+            "left": node(int(tree.children_left[i])),
+            "right": node(int(tree.children_right[i])),
+        }
+
+    return node(0)
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if "value" in d:
-        return TreeNode(cover=float(d["cover"]), value=float(d["value"]))
-    return TreeNode(
-        cover=float(d["cover"]),
-        split_feature=int(d["split_feature"]),
-        threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
+def tree_from_dict(d: dict, n_features: int) -> FlatTree:
+    """Build a tree from its nested JSON form, numbering nodes in preorder.
+
+    A split on a feature outside ``[0, n_features)`` is refused.
+    """
+    nodes: list[tuple] = []  # as in grow_tree
+
+    def add(node: dict) -> int:
+        i = len(nodes)
+        if "value" in node:
+            nodes.append((-1, -1, -1, math.nan, float(node["value"]), float(node["cover"])))
+            return i
+        feature = int(node["split_feature"])
+        if not 0 <= feature < n_features:
+            raise InvalidArgumentError(
+                f"split_feature {feature} outside the model's {n_features} features"
+            )
+        nodes.append(None)
+        left, right = add(node["left"]), add(node["right"])
+        nodes[i] = (left, right, feature, float(node["threshold"]), 0.0, float(node["cover"]))
+        return i
+
+    add(d)
+    return FlatTree(*zip(*nodes))
 
 
 def model_to_dict(model: GbdtModel) -> dict:
@@ -487,19 +466,24 @@ def model_to_dict(model: GbdtModel) -> dict:
         "base_score": model.base_score,
         "feature_names": list(model.feature_names),
         "best_iteration": model.best_iteration,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": [tree_to_dict(t) for t in model.trees],
     }
 
 
 def model_from_dict(d: dict) -> GbdtModel:
     if d.get("format") != _FORMAT:
         raise InvalidArgumentError(f"not a {_FORMAT} document")
+    feature_names = tuple(d["feature_names"])
+    trees = [tree_from_dict(t, len(feature_names)) for t in d["trees"]]
+    best_iteration = int(d["best_iteration"])
+    if not 0 <= best_iteration <= len(trees):
+        raise InvalidArgumentError(f"best_iteration {best_iteration} outside [0, {len(trees)}]")
     return GbdtModel(
-        trees=[_node_from_dict(t) for t in d["trees"]],
+        trees=trees,
         learning_rate=float(d["learning_rate"]),
         base_score=float(d["base_score"]),
-        feature_names=tuple(d["feature_names"]),
-        best_iteration=int(d["best_iteration"]),
+        feature_names=feature_names,
+        best_iteration=best_iteration,
     )
 
 

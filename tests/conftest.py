@@ -48,6 +48,17 @@ def random_model(rng, n_features=None, n_samples=80, max_rounds=None, max_depth=
     return model, X
 
 
+def leaf(value, cover):
+    """A leaf in the nested form of saved models (``gbdt.tree_from_dict``)."""
+    return {"value": value, "cover": cover}
+
+
+def split(feature, threshold, left, right):
+    """An internal node in the nested form; its cover is its children's."""
+    cover = left["cover"] + right["cover"]
+    return {"split_feature": feature, "threshold": threshold, "cover": cover, "left": left, "right": right}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)

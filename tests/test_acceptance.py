@@ -24,17 +24,17 @@ from physioshap.evaluate import (
 from physioshap.explain import brute_force_shapley, shap_interactions, shap_values_batch
 from physioshap.gbdt import (
     GbdtModel,
-    TreeNode,
     binary_logloss,
     goss_sample,
     predict_margin,
     train,
+    tree_from_dict,
 )
 from physioshap.pipeline import extract_dataset, run_loso_explained, selection_sweep
 from physioshap.ssa import SsaConfig, decompose
 from physioshap.synthetic import SyntheticSpec, generate_synthetic
 
-from conftest import random_model, small_config
+from conftest import leaf, random_model, small_config, split
 from reference import fuzzy_entropy_reference, sample_entropy_reference
 
 SPEC_SEED = 21
@@ -164,10 +164,8 @@ def test_criterion_06_interaction_consistency(rng):
             (sv,) = shap_values_batch(model, x)
             assert np.abs(im.matrix.sum(axis=1) - sv.values).max() <= 1e-6
         # additive two-feature model: no interactions
-        t0 = TreeNode(cover=2.0, split_feature=0, threshold=0.0,
-                      left=TreeNode(cover=1.0, value=-1.0), right=TreeNode(cover=1.0, value=1.0))
-        t1 = TreeNode(cover=2.0, split_feature=1, threshold=0.0,
-                      left=TreeNode(cover=1.0, value=0.5), right=TreeNode(cover=1.0, value=-0.5))
+        t0 = tree_from_dict(split(0, 0.0, leaf(-1.0, 1.0), leaf(1.0, 1.0)), 2)
+        t1 = tree_from_dict(split(1, 0.0, leaf(0.5, 1.0), leaf(-0.5, 1.0)), 2)
         model = GbdtModel([t0, t1], 0.4, 0.1, ("f0", "f1"), 2)
         im = shap_interactions(model, np.array([0.3, -0.2]))
         off = im.matrix - np.diag(np.diag(im.matrix))
@@ -186,7 +184,7 @@ def test_criterion_07_gbdt_sanity(rng):
             model = train(X, y, None, cfg)
             margins = np.full(150, model.base_score)
             prev = binary_logloss(y, margins)
-            for flat in model.flat_trees():
+            for flat in model.trees:
                 margins = margins + model.learning_rate * flat.predict(X)
                 cur = binary_logloss(y, margins)
                 assert cur <= prev + 1e-12

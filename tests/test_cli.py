@@ -89,6 +89,28 @@ class TestLosoPipeline:
         reparsed = json.loads(json.dumps(doc))
         assert reparsed == doc
 
+    def test_warns_when_no_fold_model_splits(self, workdir, rng, capsys):
+        # the default search space keeps at least 10 rows in a leaf, more
+        # than GOSS samples of 18 training rows can give two leaves
+        tmp, cfg = workdir
+        ds = make_feature_dataset(rng, n_subjects=4, trials=6)
+        feats = tmp / "features.csv"
+        write_features_csv(ds, feats)
+        assert run("loso", "--config", cfg, "--features", feats, "--out", tmp / "leaves") == 0
+        err = capsys.readouterr().err
+        assert "warning: valence:" in err and "no fold model ever split" in err
+        lines = (tmp / "leaves" / "explanations_valence.csv").read_text().splitlines()[1:]
+        assert all(float(v) == 0.0 for line in lines for v in line.split(",")[3:])
+        # small leaves and wide GOSS samples let the same folds split
+        doc = json.loads(cfg.read_text())
+        doc["search_space"] = {
+            "min_data_in_leaf": [2, 5], "base": {"goss_a": 0.5, "goss_b": 0.3, "max_rounds": 20},
+        }
+        splitting = tmp / "splitting.json"
+        splitting.write_text(json.dumps(doc))
+        assert run("loso", "--config", splitting, "--features", feats, "--out", tmp / "split") == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_select_and_report(self, workdir, rng):
         tmp, cfg = workdir
         ds = make_feature_dataset(rng, n_subjects=3, trials=6)
@@ -137,7 +159,7 @@ class TestLosoPipeline:
         X = ds.matrix(names)
         y = (X[:, 1] > np.median(X[:, 1])).astype(int)
         model = train(X, y, None, small_config(), feature_names=names)
-        assert any(1 in flat.feature for flat in model.flat_trees())
+        assert any(1 in flat.feature for flat in model.trees)
         path = tmp / "model.json"
         save_model(model, path)
         out = tmp / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, small_config
+from conftest import leaf, random_model, small_config, split
 from physioshap.errors import CapacityError, InvalidArgumentError, ModelIncompatibleError
 from physioshap.explain import (
     ImportanceRanking,
@@ -15,25 +15,18 @@ from physioshap.explain import (
     shap_values_batch,
     total_interaction_ranking,
 )
-from physioshap.gbdt import GbdtModel, TreeNode, predict_margin, train
+from physioshap.gbdt import GbdtModel, predict_margin, train, tree_from_dict
 from reference import shapley_interactions_reference
 
 
 def single_split_model(threshold=0.0, left=-1.0, right=2.0, cover=(3.0, 1.0), lr=0.5, base=0.2):
-    root = TreeNode(
-        cover=cover[0] + cover[1],
-        split_feature=0,
-        threshold=threshold,
-        left=TreeNode(cover=cover[0], value=left),
-        right=TreeNode(cover=cover[1], value=right),
-    )
-    return GbdtModel([root], lr, base, ("f0", "f1"), 1)
+    tree = tree_from_dict(split(0, threshold, leaf(left, cover[0]), leaf(right, cover[1])), 2)
+    return GbdtModel([tree], lr, base, ("f0", "f1"), 1)
 
 
 class TestShapValues:
     def test_single_leaf_model(self):
-        leaf = TreeNode(cover=5.0, value=1.5)
-        model = GbdtModel([leaf], 0.4, 0.3, ("f0", "f1"), 1)
+        model = GbdtModel([tree_from_dict(leaf(1.5, 5.0), 2)], 0.4, 0.3, ("f0", "f1"), 1)
         (exp,) = shap_values_batch(model, np.array([0.0, 0.0]))
         np.testing.assert_allclose(exp.values, 0.0)
         assert exp.base_value == pytest.approx(0.3 + 0.4 * 1.5)
@@ -61,9 +54,7 @@ class TestShapValues:
         assert exp.values[1] == 0.0
 
     def test_cover_required(self):
-        bad = GbdtModel(
-            [TreeNode(cover=0.0, value=1.0)], 0.1, 0.0, ("f0",), 1
-        )
+        bad = GbdtModel([tree_from_dict(leaf(1.0, 0.0), 1)], 0.1, 0.0, ("f0",), 1)
         with pytest.raises(ModelIncompatibleError):
             shap_values_batch(bad, np.array([1.0]))
 
@@ -81,13 +72,7 @@ class TestShapValues:
     def test_consistency_spot_check(self):
         # adding a tree that relies more on feature 0 never lowers its phi
         base = single_split_model()
-        extra = TreeNode(
-            cover=4.0,
-            split_feature=0,
-            threshold=0.0,
-            left=TreeNode(cover=3.0, value=-0.5),
-            right=TreeNode(cover=1.0, value=1.0),
-        )
+        extra = tree_from_dict(split(0, 0.0, leaf(-0.5, 3.0), leaf(1.0, 1.0)), 2)
         bigger = GbdtModel(base.trees + [extra], base.learning_rate, base.base_score, base.feature_names, 2)
         x = np.array([0.6, 0.0])
         phi_small = shap_values_batch(base, x)[0].values[0]
@@ -115,7 +100,7 @@ class TestBruteForce:
 
     def test_capacity_limit(self, rng):
         model = GbdtModel(
-            [TreeNode(cover=1.0, value=0.0)], 0.1, 0.0, tuple(f"f{i}" for i in range(21)), 1
+            [tree_from_dict(leaf(0.0, 1.0), 21)], 0.1, 0.0, tuple(f"f{i}" for i in range(21)), 1
         )
         with pytest.raises(CapacityError):
             brute_force_shapley(model, np.zeros(21))
@@ -132,14 +117,8 @@ class TestInteractions:
             np.testing.assert_allclose(im.matrix.sum(axis=1), sv.values, atol=1e-6)
 
     def test_additive_model_zero_offdiagonal(self):
-        t0 = TreeNode(
-            cover=2.0, split_feature=0, threshold=0.0,
-            left=TreeNode(cover=1.0, value=-1.0), right=TreeNode(cover=1.0, value=1.0),
-        )
-        t1 = TreeNode(
-            cover=2.0, split_feature=1, threshold=0.5,
-            left=TreeNode(cover=1.0, value=2.0), right=TreeNode(cover=1.0, value=-2.0),
-        )
+        t0 = tree_from_dict(split(0, 0.0, leaf(-1.0, 1.0), leaf(1.0, 1.0)), 2)
+        t1 = tree_from_dict(split(1, 0.5, leaf(2.0, 1.0), leaf(-2.0, 1.0)), 2)
         model = GbdtModel([t0, t1], 0.3, 0.0, ("f0", "f1"), 2)
         im = shap_interactions(model, np.array([0.4, 0.1]))
         off = im.matrix - np.diag(np.diag(im.matrix))

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import leaf, random_model, small_config, split
 from physioshap.errors import DegenerateLabelsError, InvalidArgumentError, SchemaMismatchError
 from physioshap.gbdt import (
-    FlatTree,
     GbdtModel,
     SearchSpace,
     TrainConfig,
-    TreeNode,
     binary_logloss,
     goss_sample,
     grow_tree,
@@ -25,6 +23,8 @@ from physioshap.gbdt import (
     save_model,
     sigmoid,
     train,
+    tree_from_dict,
+    tree_to_dict,
 )
 from reference import best_split_reference
 
@@ -77,9 +77,9 @@ class TestGrowTree:
         X = np.ones((20, 1))
         g = np.full(20, 0.4)
         h = np.full(20, 0.24)
-        root = grow_tree(X, g, h, np.ones(20), small_config(), 0)
-        assert root.is_leaf
-        assert root.value == pytest.approx(-g.sum() / h.sum())
+        tree = grow_tree(X, g, h, np.ones(20), small_config(), 0)
+        assert tree.children_left.tolist() == [-1]
+        assert tree.value[0] == pytest.approx(-g.sum() / h.sum())
 
     def test_separable_split_matches_hand_enumeration(self, rng):
         x = np.sort(rng.normal(size=60))
@@ -93,20 +93,20 @@ class TestGrowTree:
         g = p - y
         h = p * (1 - p)
         cfg = small_config(num_leaves=2, min_data_in_leaf=1)
-        root = grow_tree(x[:, None], g, h, np.ones(60), cfg, 0)
+        tree = grow_tree(x[:, None], g, h, np.ones(60), cfg, 0)
         ref_thr, _ = best_split_reference(x, y, base)
-        assert not root.is_leaf
-        assert root.threshold == pytest.approx(ref_thr)
+        assert tree.children_left[0] >= 0
+        assert tree.threshold[0] == pytest.approx(ref_thr)
         lo = x[y == 0].max()
         hi = x[y == 1].min()
-        assert lo < root.threshold < hi
+        assert lo < tree.threshold[0] < hi
 
     def test_single_leaf_budget(self, rng):
         X = rng.normal(size=(40, 3))
         g = rng.normal(size=40)
         h = np.full(40, 0.25)
-        root = grow_tree(X, g, h, np.ones(40), small_config(num_leaves=1), 0)
-        assert root.is_leaf
+        tree = grow_tree(X, g, h, np.ones(40), small_config(num_leaves=1), 0)
+        assert tree.children_left.tolist() == [-1]
 
     def test_budgets_respected(self, rng):
         for _ in range(10):
@@ -116,25 +116,21 @@ class TestGrowTree:
             leaves = int(rng.integers(2, 9))
             depth = int(rng.integers(1, 5))
             cfg = small_config(num_leaves=leaves, max_depth=depth, min_data_in_leaf=3)
-            root = grow_tree(X, g, h, np.ones(120), cfg, int(rng.integers(100)))
-            assert root.n_leaves() <= leaves
-            assert root.depth() <= depth
+            tree = grow_tree(X, g, h, np.ones(120), cfg, int(rng.integers(100)))
+            assert (tree.children_left < 0).sum() <= leaves
+            assert _depths(tree).max() <= depth
 
     def test_cover_additivity(self, rng):
         X = rng.normal(size=(100, 4))
         g = rng.normal(size=100)
         h = np.full(100, 0.25)
         w = rng.uniform(0.5, 2.0, size=100)
-        root = grow_tree(X, g, h, w, small_config(num_leaves=8, min_data_in_leaf=4), 1)
-
-        def check(node):
-            if node.is_leaf:
-                return
-            assert node.cover == pytest.approx(node.left.cover + node.right.cover, abs=1e-9)
-            check(node.left)
-            check(node.right)
-
-        check(root)
+        tree = grow_tree(X, g, h, w, small_config(num_leaves=8, min_data_in_leaf=4), 1)
+        assert tree.cover[0] == pytest.approx(w.sum(), abs=1e-9)
+        internal = tree.children_left >= 0
+        assert internal.any()
+        children = tree.cover[tree.children_left[internal]] + tree.cover[tree.children_right[internal]]
+        np.testing.assert_allclose(tree.cover[internal], children, atol=1e-9, rtol=0)
 
 
 class TestTrain:
@@ -213,10 +209,8 @@ class TestPredict:
         assert prob == pytest.approx(0.5)
 
     def test_hand_built_single_split(self):
-        leaf_l = TreeNode(cover=3.0, value=-2.0)
-        leaf_r = TreeNode(cover=1.0, value=4.0)
-        root = TreeNode(cover=4.0, split_feature=0, threshold=0.5, left=leaf_l, right=leaf_r)
-        model = GbdtModel([root], 0.3, 0.1, ("f0",), 1)
+        tree = tree_from_dict(split(0, 0.5, leaf(-2.0, 3.0), leaf(4.0, 1.0)), 1)
+        model = GbdtModel([tree], 0.3, 0.1, ("f0",), 1)
         margin, _ = predict(model, np.array([0.2]))
         assert margin == pytest.approx(0.1 + 0.3 * -2.0)
         margin, _ = predict(model, np.array([0.9]))
@@ -277,6 +271,29 @@ class TestRandomSearch:
             random_search(X, y, np.zeros(20), iterations=1, seed=0)
 
 
+def _model_text(split_feature=0, best_iteration=1):
+    """A saved two-feature model of one stump."""
+    tree = split(split_feature, 0.5, leaf(-1.0, 1.0), leaf(1.0, 1.0))
+    return json.dumps({
+        "format": "physioshap-gbdt", "version": 1, "learning_rate": 0.1, "base_score": 0.0,
+        "feature_names": ["f0", "f1"], "best_iteration": best_iteration, "trees": [tree],
+    })
+
+
+def _depths(tree):
+    """Depth of every node; children follow their parent in the arrays."""
+    depth = np.zeros(tree.value.size, dtype=int)
+    for i in np.flatnonzero(tree.children_left >= 0):
+        depth[[tree.children_left[i], tree.children_right[i]]] = depth[i] + 1
+    return depth
+
+
+def _preorder(tree, node=0):
+    if tree.children_left[node] < 0:
+        return [node]
+    return [node] + _preorder(tree, tree.children_left[node]) + _preorder(tree, tree.children_right[node])
+
+
 class TestSerialization:
     def test_round_trip(self, rng, tmp_path):
         X = rng.normal(size=(60, 3))
@@ -292,8 +309,36 @@ class TestSerialization:
         with pytest.raises(InvalidArgumentError):
             model_from_dict({"format": "something-else"})
 
+    def test_tree_codec_round_trip(self, rng, tmp_path):
+        for _ in range(5):
+            model, _ = random_model(rng)
+            for tree in model.trees:
+                back = tree_from_dict(tree_to_dict(tree), model.n_features)
+                # grown trees number nodes in creation order, decoded ones in preorder
+                order = _preorder(tree)
+                for column in ("feature", "threshold", "value", "cover"):
+                    np.testing.assert_array_equal(getattr(back, column), getattr(tree, column)[order])
+                new_index = np.empty(len(order), dtype=np.int64)
+                new_index[order] = np.arange(len(order))
+                for column in ("children_left", "children_right"):
+                    old = getattr(tree, column)[order]
+                    expected = np.where(old < 0, -1, new_index[np.maximum(old, 0)])
+                    np.testing.assert_array_equal(getattr(back, column), expected)
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes()
+        # the bounds the loader enforces are inclusive where they should be
+        path = tmp_path / "edge.json"
+        path.write_text(_model_text(split_feature=1, best_iteration=0))
+        assert load_model(path).best_iteration == 0
+
     @pytest.mark.parametrize(
-        "text", ['{"format": "physioshap-gbdt"}', '{"format": "something-else"}', "not json", "[]"]
+        "text",
+        [
+            '{"format": "physioshap-gbdt"}', '{"format": "something-else"}', "not json", "[]",
+            _model_text(split_feature=-1), _model_text(split_feature=5), _model_text(best_iteration=7),
+        ],
     )
     def test_load_rejects_malformed_file(self, tmp_path, text):
         path = tmp_path / "model.json"
@@ -305,7 +350,7 @@ class TestSerialization:
 def _per_round_losses(model, X, y):
     margins = np.full(X.shape[0], model.base_score)
     losses = [binary_logloss(y, margins)]
-    for flat in model.flat_trees():
+    for flat in model.trees:
         margins = margins + model.learning_rate * flat.predict(X)
         losses.append(binary_logloss(y, margins))
     return losses
@@ -326,13 +371,13 @@ def test_flat_tree_predict_matches_node_walk(rng):
     X = rng.normal(size=(60, 4))
     g = rng.normal(size=60)
     h = np.full(60, 0.25)
-    root = grow_tree(X, g, h, np.ones(60), small_config(num_leaves=8, min_data_in_leaf=2), 3)
-    flat = FlatTree(root)
+    tree = grow_tree(X, g, h, np.ones(60), small_config(num_leaves=8, min_data_in_leaf=2), 3)
+    nested = tree_to_dict(tree)
 
     def walk(node, x):
-        while not node.is_leaf:
-            node = node.left if x[node.split_feature] <= node.threshold else node.right
-        return node.value
+        while "value" not in node:
+            node = node["left"] if x[node["split_feature"]] <= node["threshold"] else node["right"]
+        return node["value"]
 
     for i in range(60):
-        assert flat.predict(X[i : i + 1])[0] == walk(root, X[i])
+        assert tree.predict(X[i : i + 1])[0] == walk(nested, X[i])
