@@ -77,7 +77,12 @@ def test_shap_local_accuracy(case):
 
 @st.composite
 def quantized_signals(draw):
-    """(x, L): integer levels times a step, and a window no longer than x."""
+    """(x, L): integer levels times a step, and a window no longer than x.
+
+    ``decompose`` drops components whose eigenvalue is below 1e-12 of the
+    largest, so structure below about 1e-6 of a signal's scale (a large
+    offset plus faint noise) is not reconstructed to 1e-8; integer levels
+    keep every component far above that cutoff."""
     levels = draw(st.lists(st.integers(-5, 5), min_size=3, max_size=160))
     step = draw(st.sampled_from((0.1, 0.25, 0.3, 1.0)))
     window = draw(st.integers(2, min(24, len(levels))))
