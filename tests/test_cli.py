@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -40,11 +43,40 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+#: sha256 of every file `synth` writes for the 2 x 2 spec in test_synth_bytes_are_pinned
+SYNTH_DIGESTS = {
+    "meta.json": "f3ee01a3b1ca589ef2b9dcb9983282f3d1020530ba4d5914ee70097b7e796a93",
+    "subject_1/trial_1.csv": "d7ae67d74bf47396afbb5d176d89a6c2948d316e429eb3e4ba0728de8805fb5e",
+    "subject_1/trial_1.labels.csv": "6ebf24db3516e7c95f5d9a2de11251ed793dba5fab0bc1200538a110b356a428",
+    "subject_1/trial_2.csv": "33abc5a7a51a3af08dd910e705304fae38d231744322c8041ed223244bcbf983",
+    "subject_1/trial_2.labels.csv": "2d36fdf57ea83ff842b891532ea8c6a7605ec9dac3b3919f77a4af720529064d",
+    "subject_2/trial_1.csv": "1ace31a4abf7e930dc432214f9492aff45dc93c9098ee82ecb5bc15963f23715",
+    "subject_2/trial_1.labels.csv": "1c2a4751068fb398a5bae685f4b47edc02923e99cb5de95bc5199e8e2790dbc7",
+    "subject_2/trial_2.csv": "1ff0edf05979276ae1548cdf04304c414e96a19e3f4fa766bcc48f798cf7bfde",
+    "subject_2/trial_2.labels.csv": "75d95c2be89fcda88741214c1184c5025d33563a4ef96c0941391e496ee46fc0",
+}
+
+
 class TestSynthAndIngest:
     def test_synth_then_check(self, workdir):
         tmp, cfg = workdir
         assert run("synth", "--config", cfg, "--out", tmp / "data") == 0
         assert run("ingest-check", "--data", tmp / "data") == 0
+
+    def test_synth_bytes_are_pinned(self, tmp_path):
+        # the golden chain starts at extract; this pins what synth writes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": {
+            "n_subjects": 2, "trials_per_subject": 2, "seed": 5, "duration_s": 1.0, "baseline_s": 0.25,
+        }}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("synth", "--config", cfg, "--out", tmp_path / "data") == 0
+        root = tmp_path / "data"
+        got = {
+            p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        }
+        assert got == SYNTH_DIGESTS
 
     def test_check_missing_dir_is_validation_error(self, workdir):
         tmp, cfg = workdir
