@@ -38,6 +38,7 @@ from .pipeline import (
     run_loso_explained,
     selection_sweep,
 )
+from .signals import RATING_NAMES
 from .synthetic import generate_synthetic
 
 _VALIDATION_ERRORS = (ConfigError, InvalidArgumentError, IngestionError, SchemaMismatchError)
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--features", help="features.csv from `extract`")
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--target", required=True, choices=("valence", "arousal", "liking"))
+    p.add_argument("--target", required=True, choices=RATING_NAMES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation with explanations")
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="features.csv from `extract`")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--model", required=True, help="model JSON from `train`")
-    p.add_argument("--target", required=True, choices=("valence", "arousal", "liking"))
+    p.add_argument("--target", required=True, choices=RATING_NAMES)
     p.add_argument("--interactions", action="store_true", help="also compute interaction matrices")
     p.set_defaults(func=cmd_explain)
 

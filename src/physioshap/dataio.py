@@ -14,7 +14,7 @@ import csv
 import json
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,11 +26,17 @@ from .signals import CHANNEL_ORDER, RATING_NAMES, TimeSeries, Trial
 DEFAULT_META = {"sample_rate_hz": 128.0, "baseline_samples": 384, "signal_samples": 7680}
 
 
-def fmt(v) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line and one line per row.
+
+    Floats, numpy's included, take their shortest round-trip decimal
+    (``repr(float(v))``); every other cell is written with ``str``.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _load_meta(root: Path) -> dict:
@@ -182,20 +188,20 @@ def write_dataset(trials: Sequence[Trial], root, sample_rate_hz: float | None = 
     for trial in trials:
         subject_dir = root / f"subject_{trial.subject_id}"
         subject_dir.mkdir(exist_ok=True)
-        path = subject_dir / f"trial_{trial.trial_id}.csv"
-        cols = []
-        for kind in CHANNEL_ORDER:
-            full = np.concatenate([trial.baselines[kind].values, trial.channels[kind].values])
-            cols.append(full)
-        mat = np.column_stack(cols)
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(k.value for k in CHANNEL_ORDER) + "\n")
-            for row in mat:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        labels_path = subject_dir / f"trial_{trial.trial_id}.labels.csv"
-        with labels_path.open("w", newline="") as fh:
-            fh.write(",".join(RATING_NAMES) + "\n")
-            fh.write(",".join(repr(float(trial.ratings[n])) for n in RATING_NAMES) + "\n")
+        cols = [
+            np.concatenate([trial.baselines[kind].values, trial.channels[kind].values])
+            for kind in CHANNEL_ORDER
+        ]
+        write_csv(
+            subject_dir / f"trial_{trial.trial_id}.csv",
+            [k.value for k in CHANNEL_ORDER],
+            np.column_stack(cols).tolist(),
+        )
+        write_csv(
+            subject_dir / f"trial_{trial.trial_id}.labels.csv",
+            RATING_NAMES,
+            [[float(trial.ratings[n]) for n in RATING_NAMES]],
+        )
 
 
 # --- feature tables ----------------------------------------------------------
@@ -205,15 +211,13 @@ _FEATURE_HEADER = ("subject", "trial") + RATING_NAMES + FEATURE_NAMES
 
 def write_features_csv(dataset: Dataset, path) -> None:
     """Feature table: subject, trial, the three ratings, then the 51 features."""
-    path = Path(path)
     rows = sorted(dataset.rows, key=lambda r: (r.subject_id, r.trial_id))
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(_FEATURE_HEADER) + "\n")
-        for r in rows:
-            cells = [str(r.subject_id), str(r.trial_id)]
-            cells += [repr(float(r.ratings[n])) for n in RATING_NAMES]
-            cells += [repr(float(r.features[n])) for n in FEATURE_NAMES]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, _FEATURE_HEADER, (
+        [r.subject_id, r.trial_id]
+        + [float(r.ratings[n]) for n in RATING_NAMES]
+        + [r.features[n] for n in FEATURE_NAMES]
+        for r in rows
+    ))
 
 
 def read_features_csv(path) -> Dataset:

@@ -32,32 +32,34 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, SchemaMismatchError
-from .signals import _as_values
+from .signals import ChannelKind, _as_values
 
 #: Pairs per block. A block's two float64 buffers take 1 MiB together, which
 #: fits a 2 MiB L2 cache (on such a core 32K and 64K pairs ran alike, 128K and
 #: up slower); rows per block follow from the width of its band.
 _BLOCK_ELEMS = 1 << 16
 
-#: Feature-name channel tags and the number of components each contributes,
-#: in canonical channel order. SCR appears under its GSR feature alias with
-#: two components: the leading phasic component and the tonic remainder.
-COMPONENT_SCHEMA: tuple[tuple[str, int], ...] = (
-    ("hEOG", 2),
-    ("vEOG", 2),
-    ("zEMG", 1),
-    ("tEMG", 3),
-    ("GSR", 2),
-    ("PPG", 4),
-    ("Resp", 2),
-    ("Temp", 1),
+#: The components that feed the features, per channel in canonical order:
+#: (channel, feature-name tag, component count). This table is the feature
+#: schema; decomposition and extraction both read it. SCR appears under its
+#: GSR tag with two components: its leading phasic SSA component, then its
+#: tonic part.
+COMPONENT_SCHEMA: tuple[tuple[ChannelKind, str, int], ...] = (
+    (ChannelKind.hEOG, "hEOG", 2),
+    (ChannelKind.vEOG, "vEOG", 2),
+    (ChannelKind.zEMG, "zEMG", 1),
+    (ChannelKind.tEMG, "tEMG", 3),
+    (ChannelKind.SCR, "GSR", 2),
+    (ChannelKind.PPG, "PPG", 4),
+    (ChannelKind.Resp, "Resp", 2),
+    (ChannelKind.Temp, "Temp", 1),
 )
 
 FEATURE_KINDS: tuple[str, ...] = ("SE", "FE", "En")
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{tag}{idx}_{kind}"
-    for tag, count in COMPONENT_SCHEMA
+    for _, tag, count in COMPONENT_SCHEMA
     for idx in range(1, count + 1)
     for kind in FEATURE_KINDS
 )
@@ -279,17 +281,17 @@ def extract_feature_vector(
     its ordered component list; counts must match COMPONENT_SCHEMA exactly.
     """
     cfg = cfg or EntropyConfig()
-    for tag, count in COMPONENT_SCHEMA:
+    for _, tag, count in COMPONENT_SCHEMA:
         if tag not in trial_components:
             raise SchemaMismatchError(f"missing components for channel {tag}")
         have = len(trial_components[tag])
         if have != count:
             raise SchemaMismatchError(f"channel {tag}: expected {count} components, got {have}")
-    unknown = [t for t in trial_components if t not in dict(COMPONENT_SCHEMA)]
+    unknown = [t for t in trial_components if t not in {tag for _, tag, _ in COMPONENT_SCHEMA}]
     if unknown:
         raise SchemaMismatchError(f"unknown channel tags: {unknown}")
     values: dict[str, float] = {}
-    for tag, count in COMPONENT_SCHEMA:
+    for _, tag, count in COMPONENT_SCHEMA:
         for idx in range(1, count + 1):
             comp = trial_components[tag][idx - 1]
             values[f"{tag}{idx}_SE"] = sample_entropy(comp, cfg)

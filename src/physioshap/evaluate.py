@@ -32,8 +32,7 @@ from .gbdt import (
     random_search,
     train,
 )
-
-TARGETS = ("valence", "arousal", "liking")
+from .signals import RATING_NAMES
 
 
 def binarize_label(rating: float, threshold: float = 5.0) -> int:
@@ -112,7 +111,7 @@ class Dataset:
         return np.array([[r.features[n] for n in names] for r in self.rows])
 
     def labels(self, target: str, threshold: float = 5.0) -> np.ndarray:
-        if target not in TARGETS:
+        if target not in RATING_NAMES:
             raise InvalidArgumentError(f"unknown target {target!r}")
         return np.array([binarize_label(r.ratings[target], threshold) for r in self.rows])
 

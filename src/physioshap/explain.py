@@ -361,23 +361,6 @@ def global_importance(explanations: Sequence[ShapExplanation]) -> ImportanceRank
     return ImportanceRanking(tuple((names[i], float(scores[i])) for i in order))
 
 
-def total_interaction_ranking(
-    matrices: Sequence[InteractionMatrix],
-) -> ImportanceRanking:
-    """Rank features by summed absolute off-diagonal interaction strength."""
-    if not matrices:
-        raise InvalidArgumentError("need at least one interaction matrix")
-    names = matrices[0].feature_names
-    n = len(names)
-    totals = np.zeros(n)
-    for im in matrices:
-        off = np.abs(im.matrix).sum(axis=1) - np.abs(np.diag(im.matrix))
-        totals += off
-    totals /= len(matrices)
-    order = sorted(range(n), key=lambda i: (-totals[i], i))
-    return ImportanceRanking(tuple((names[i], float(totals[i])) for i in order))
-
-
 @dataclass(frozen=True)
 class SelectionRow:
     k: int

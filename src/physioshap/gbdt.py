@@ -360,11 +360,7 @@ def train(
         grad = p - y
         hess = p * (1.0 - p)
         round_rng = np.random.default_rng(master.integers(2**63))
-        if cfg.goss_a >= 1.0:
-            idx = np.arange(y.size)
-            w = np.ones(y.size)
-        else:
-            idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
+        idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
         tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng)
         trees.append(tree)
         margins = margins + cfg.learning_rate * tree.predict(X)

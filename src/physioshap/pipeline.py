@@ -12,9 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .entropy import EntropyConfig, FeatureVector, extract_feature_vector
+from .entropy import COMPONENT_SCHEMA, EntropyConfig, FeatureVector, extract_feature_vector
 from .errors import ConfigError, SchemaMismatchError
 from .evaluate import (
     CvReport,
@@ -37,6 +35,7 @@ from .explain import (
 )
 from .gbdt import SearchSpace, TrainConfig, predict_margin, sigmoid
 from .signals import (
+    RATING_NAMES,
     SCR_PHASIC_KEY,
     SCR_TONIC_KEY,
     ChannelKind,
@@ -44,44 +43,34 @@ from .signals import (
     Trial,
     preprocess_trial,
 )
-from .ssa import AUTO, SsaConfig, decompose, hard_threshold_rank
+from .ssa import SsaConfig, decompose
 from .synthetic import SyntheticSpec
 
 SEARCH_MODES = ("per-fold", "global")
 
-#: channel tag used in feature names; SCR appears as GSR
-CHANNEL_TAGS: dict[ChannelKind, str] = {
-    kind: ("GSR" if kind is ChannelKind.SCR else kind.value) for kind in ChannelKind
-}
-
 
 def decompose_trial(trial: Trial, cfg: SsaConfig | None = None) -> dict[str, list]:
-    """Decompose a preprocessed trial into its per-channel kept components.
+    """Decompose a preprocessed trial into the components COMPONENT_SCHEMA names.
 
-    SCR decomposes its phasic part and carries the tonic part as its second
-    component. With AUTO the hard-threshold rank decides how many components
-    to keep for a channel; fixed counts are used as given.
+    Each channel keeps its leading SSA components. SCR decomposes its phasic
+    part, keeps one component of it, and carries its tonic part as the second.
     """
     cfg = cfg or SsaConfig()
     if SCR_PHASIC_KEY not in trial.extras or SCR_TONIC_KEY not in trial.extras:
         raise SchemaMismatchError("trial lacks SCR phasic/tonic parts; run preprocess_trial first")
     out: dict[str, list] = {}
-    for kind in ChannelKind:
-        source = trial.extras[SCR_PHASIC_KEY] if kind is ChannelKind.SCR else trial.channels[kind]
-        decomp = decompose(source, cfg)
-        kept = cfg.kept_components.get(kind, AUTO)
-        if kept == AUTO:
-            embed_shape = (cfg.window_len, len(source) - cfg.window_len + 1)
-            kept = max(1, hard_threshold_rank(decomp.singular_values, *embed_shape))
-        kept = int(kept)
+    for kind, tag, count in COMPONENT_SCHEMA:
+        scr = kind is ChannelKind.SCR
+        kept = count - 1 if scr else count
+        decomp = decompose(trial.extras[SCR_PHASIC_KEY] if scr else trial.channels[kind], cfg)
         if decomp.rank < kept:
             raise SchemaMismatchError(
                 f"channel {kind.value}: rank {decomp.rank} below kept count {kept}"
             )
-        comps = [decomp.components[i] for i in range(kept)]
-        if kind is ChannelKind.SCR:
-            comps = [comps[0], trial.extras[SCR_TONIC_KEY]]
-        out[CHANNEL_TAGS[kind]] = comps
+        comps = list(decomp.components[:kept])
+        if scr:
+            comps.append(trial.extras[SCR_TONIC_KEY])
+        out[tag] = comps
     return out
 
 
@@ -266,7 +255,7 @@ class RunConfig:
 
     data_dir: str | None = None
     synthetic: SyntheticSpec | None = None
-    targets: tuple[str, ...] = ("valence", "arousal", "liking")
+    targets: tuple[str, ...] = RATING_NAMES
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     ssa: SsaConfig = field(default_factory=SsaConfig)
     entropy: EntropyConfig = field(default_factory=EntropyConfig)
@@ -283,9 +272,12 @@ class RunConfig:
             raise ConfigError("search_iterations must be >= 0")
         if self.search_mode not in SEARCH_MODES:
             raise ConfigError(f"unknown search_mode {self.search_mode!r}")
-        bad = [t for t in self.targets if t not in ("valence", "arousal", "liking")]
+        bad = [t for t in self.targets if t not in RATING_NAMES]
         if bad or not self.targets:
-            raise ConfigError(f"targets must be a non-empty subset of valence/arousal/liking: {bad}")
+            raise ConfigError(f"targets must be a non-empty subset of {'/'.join(RATING_NAMES)}: {bad}")
+        widest = max(count for _, _, count in COMPONENT_SCHEMA)
+        if self.ssa.window_len < widest:
+            raise ConfigError(f"ssa.window_len must be at least {widest}, the most components a channel keeps")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.max_interaction_samples < 1:
@@ -318,12 +310,7 @@ def run_config_from_dict(doc: Mapping) -> RunConfig:
                 sub["detrend_exempt"] = frozenset(ChannelKind(k) for k in sub["detrend_exempt"])
             data["preprocess"] = PreprocessConfig(**sub)
         if "ssa" in data:
-            sub = dict(_dataclass_from_mapping(SsaConfig, data["ssa"], "config.ssa"))
-            if "kept_components" in sub:
-                sub["kept_components"] = {
-                    ChannelKind(k): (v if v == AUTO else int(v))
-                    for k, v in sub["kept_components"].items()
-                }
+            sub = _dataclass_from_mapping(SsaConfig, data["ssa"], "config.ssa")
             data["ssa"] = SsaConfig(**sub)
         if "entropy" in data:
             sub = _dataclass_from_mapping(EntropyConfig, data["entropy"], "config.entropy")

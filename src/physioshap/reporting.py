@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import write_csv
 from .entropy import FEATURE_NAMES
 from .errors import InvalidArgumentError, SchemaMismatchError
 from .evaluate import CvReport, Dataset, DatasetRow, FoldResult, MetricSummary
@@ -105,12 +106,10 @@ def load_artifact(path, parse):
 def write_shap_csv(rows: Sequence[DatasetRow], explanations: Sequence[ShapExplanation], path) -> None:
     """Sample x feature attribution table, one line per explained row."""
     names = explanations[0].feature_names if explanations else FEATURE_NAMES
-    with Path(path).open("w", newline="") as fh:
-        fh.write("subject,trial,base_value," + ",".join(names) + "\n")
-        for r, exp in zip(rows, explanations):
-            cells = [str(r.subject_id), str(r.trial_id), repr(float(exp.base_value))]
-            cells += [repr(float(v)) for v in exp.values]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, ("subject", "trial", "base_value", *names), (
+        [r.subject_id, r.trial_id, float(exp.base_value), *exp.values.tolist()]
+        for r, exp in zip(rows, explanations)
+    ))
 
 
 def write_explanations_csv(run: ExplainedRun, dataset: Dataset, path) -> None:
@@ -166,57 +165,46 @@ def emit_report(artifacts: Sequence[TargetArtifacts], dataset: Dataset, out_dir)
     path.write_text(_json_dumps(report_doc))
     written.append(path)
 
-    path = out / "importance.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("target,rank,feature,mean_abs_shap\n")
-        for art in artifacts:
-            for rank, (name, score) in enumerate(art.run.importance.entries, start=1):
-                fh.write(f"{art.target},{rank},{name},{repr(float(score))}\n")
-    written.append(path)
+    def table(name: str, header: Sequence[str], rows) -> None:
+        path = out / name
+        write_csv(path, header, rows)
+        written.append(path)
+
+    table("importance.csv", ("target", "rank", "feature", "mean_abs_shap"), (
+        (art.target, rank, name, score)
+        for art in artifacts
+        for rank, (name, score) in enumerate(art.run.importance.entries, start=1)
+    ))
 
     if any(art.selection is not None for art in artifacts):
-        path = out / "selection_curve.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("target,k,accuracy,accuracy_se,f1,f1_se\n")
-            for art in artifacts:
-                if art.selection is None:
-                    continue
-                for r in art.selection.rows:
-                    fh.write(
-                        f"{art.target},{r.k},{repr(r.accuracy)},{repr(r.accuracy_se)},"
-                        f"{repr(r.f1)},{repr(r.f1_se)}\n"
-                    )
-        written.append(path)
+        table("selection_curve.csv", ("target", "k", "accuracy", "accuracy_se", "f1", "f1_se"), (
+            (art.target, r.k, r.accuracy, r.accuracy_se, r.f1, r.f1_se)
+            for art in artifacts if art.selection is not None
+            for r in art.selection.rows
+        ))
 
     if any(art.interaction_mean_abs is not None for art in artifacts):
-        path = out / "interactions.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("target,feature_i,feature_j,mean_abs_interaction\n")
-            for art in artifacts:
-                if art.interaction_mean_abs is None:
-                    continue
-                names = art.interaction_names or FEATURE_NAMES
-                mat = art.interaction_mean_abs
-                totals = mat.sum(axis=1) - np.diag(mat)
-                order = sorted(range(len(names)), key=lambda i: (-totals[i], i))[:10]
-                for i in order:
-                    for j in order:
-                        fh.write(f"{art.target},{names[i]},{names[j]},{repr(float(mat[i, j]))}\n")
-        written.append(path)
-
-    path = out / "predictions.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("target,subject,trial,y_true,probability,y_pred\n")
+        rows = []
         for art in artifacts:
-            for p in art.run.predictions:
-                fh.write(
-                    f"{art.target},{p.subject_id},{p.trial_id},{p.y_true},"
-                    f"{repr(p.probability)},{int(p.probability > 0.5)}\n"
-                )
-    written.append(path)
+            if art.interaction_mean_abs is None:
+                continue
+            # the ten features with the largest off-diagonal row sums, ties to the lower index
+            names = art.interaction_names or FEATURE_NAMES
+            mat = art.interaction_mean_abs
+            totals = mat.sum(axis=1) - np.diag(mat)
+            order = sorted(range(len(names)), key=lambda i: (-totals[i], i))[:10]
+            rows += [(art.target, names[i], names[j], mat[i, j]) for i in order for j in order]
+        table("interactions.csv", ("target", "feature_i", "feature_j", "mean_abs_interaction"), rows)
+
+    table("predictions.csv", ("target", "subject", "trial", "y_true", "probability", "y_pred"), (
+        (art.target, p.subject_id, p.trial_id, p.y_true, p.probability, int(p.probability > 0.5))
+        for art in artifacts
+        for p in art.run.predictions
+    ))
 
     # main-effect scatter data for each target's top-ranked feature
     rows_by_id = {r.row_id: r for r in dataset.rows}
+    effects: dict[str, list] = {}
     for art in artifacts:
         if not art.run.importance.entries:
             continue
@@ -228,19 +216,14 @@ def emit_report(artifacts: Sequence[TargetArtifacts], dataset: Dataset, out_dir)
             inames = art.interaction_names or FEATURE_NAMES
             if feature in inames:
                 interactor = _strongest_interactor(art.interaction_mean_abs, inames, feature)
-        path = out / f"effects_{feature}.csv"
-        mode = "a" if path in written else "w"
-        with path.open(mode, newline="") as fh:
-            if mode == "w":
-                fh.write("target,subject,trial,feature_value,shap_value,interactor,interactor_value\n")
-            for row_id, exp in zip(art.run.row_ids, art.run.explanations):
-                r = rows_by_id[row_id]
-                ival = repr(float(r.features[interactor])) if interactor else ""
-                fh.write(
-                    f"{art.target},{r.subject_id},{r.trial_id},"
-                    f"{repr(float(r.features[feature]))},{repr(float(exp.values[fi]))},"
-                    f"{interactor or ''},{ival}\n"
-                )
-        if path not in written:
-            written.append(path)
+        rows = effects.setdefault(feature, [])
+        for row_id, exp in zip(art.run.row_ids, art.run.explanations):
+            r = rows_by_id[row_id]
+            rows.append((
+                art.target, r.subject_id, r.trial_id, r.features[feature], exp.values[fi],
+                interactor or "", r.features[interactor] if interactor else "",
+            ))
+    header = ("target", "subject", "trial", "feature_value", "shap_value", "interactor", "interactor_value")
+    for feature, rows in effects.items():
+        table(f"effects_{feature}.csv", header, rows)
     return written

@@ -10,56 +10,28 @@ series reproduces the input to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .signals import ChannelKind, TimeSeries, _as_values, _sample_rate
-
-AUTO = "auto"
-
-#: Components kept per channel when reconstructing for feature extraction.
-#: The SCR entry counts components of the phasic part; the tonic part is
-#: carried through as a second SCR component by the pipeline.
-DEFAULT_KEPT: dict[ChannelKind, int] = {
-    ChannelKind.hEOG: 2,
-    ChannelKind.vEOG: 2,
-    ChannelKind.zEMG: 1,
-    ChannelKind.tEMG: 3,
-    ChannelKind.SCR: 1,
-    ChannelKind.PPG: 4,
-    ChannelKind.Resp: 2,
-    ChannelKind.Temp: 1,
-}
+from .signals import TimeSeries, _as_values, _sample_rate
 
 
 @dataclass(frozen=True)
 class SsaConfig:
-    """Window length and per-channel component counts.
+    """Window length L of the trajectory matrix.
 
-    ``kept_components`` values are positive integers or the AUTO sentinel,
-    in which case the hard-threshold rank estimate is used instead.
+    How many components each channel keeps is the feature schema's
+    (``entropy.COMPONENT_SCHEMA``), not a decomposition setting.
     """
 
     window_len: int = 12
-    kept_components: Mapping[ChannelKind, object] = field(
-        default_factory=lambda: dict(DEFAULT_KEPT)
-    )
 
     def __post_init__(self):
         if self.window_len < 2:
             raise InvalidArgumentError("window_len must be at least 2")
-        for kind, kept in self.kept_components.items():
-            if kept == AUTO:
-                continue
-            if int(kept) < 1:
-                raise InvalidArgumentError(f"kept components for {kind.value} must be >= 1")
-            if int(kept) > self.window_len:
-                raise InvalidArgumentError(
-                    f"kept components for {kind.value} exceed window_len {self.window_len}"
-                )
 
 
 @dataclass(frozen=True, eq=False)

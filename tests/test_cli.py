@@ -224,6 +224,26 @@ class TestBadConfig:
         bad.write_text(json.dumps({"nope": 1}))
         assert run("extract", "--config", bad) == 1
 
+    def test_kept_components_is_an_unknown_key(self, workdir, tmp_path, capsys):
+        # the component counts are the feature schema's, not a setting
+        _, cfg = workdir
+        doc = json.loads(cfg.read_text())
+        doc["ssa"] = {"kept_components": {"PPG": 4}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+        assert "config.ssa: unknown keys ['kept_components']" in capsys.readouterr().err
+
+    def test_window_below_widest_channel_fails_before_work(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        doc = json.loads(cfg.read_text())
+        doc["ssa"] = {"window_len": 3}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+        assert "window_len must be at least 4" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "features.csv").exists()
+
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

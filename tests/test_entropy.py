@@ -226,7 +226,7 @@ def component_map(rng, n=256):
     from physioshap.entropy import COMPONENT_SCHEMA
 
     return {
-        tag: [rng.normal(size=n) for _ in range(count)] for tag, count in COMPONENT_SCHEMA
+        tag: [rng.normal(size=n) for _ in range(count)] for _, tag, count in COMPONENT_SCHEMA
     }
 
 

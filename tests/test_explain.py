@@ -13,7 +13,6 @@ from physioshap.explain import (
     select_features,
     shap_interactions,
     shap_values_batch,
-    total_interaction_ranking,
 )
 from physioshap.gbdt import GbdtModel, predict_margin, train, tree_from_dict
 from reference import shapley_interactions_reference
@@ -222,14 +221,6 @@ class TestSelectFeatures:
         result = select_features(ranking, evaluate)
         assert result.best_k_f1 == 2
         assert result.best_k_accuracy == 2
-
-
-def test_total_interaction_ranking(rng):
-    model, X = random_model(rng, n_features=3, max_rounds=6, max_depth=3)
-    mats = [shap_interactions(model, X[i]) for i in range(5)]
-    ranking = total_interaction_ranking(mats)
-    assert len(ranking.entries) == 3
-    assert all(s >= 0 for _, s in ranking.entries)
 
 
 def test_expected_margin_is_cover_weighted(rng):

@@ -93,6 +93,6 @@ def quantized_signals(draw):
 @given(quantized_signals())
 def test_ssa_components_sum_to_signal(case):
     x, window = case
-    d = decompose(x, SsaConfig(window_len=window, kept_components={}))
+    d = decompose(x, SsaConfig(window_len=window))
     total = sum((c.values for c in d.components), np.zeros_like(x))
     assert np.linalg.norm(total - x) <= 1e-8 * np.linalg.norm(x)

@@ -36,6 +36,16 @@ class TestGossSample:
         np.testing.assert_array_equal(idx, np.arange(50))
         np.testing.assert_array_equal(w, np.ones(50))
 
+    def test_full_sample_leaves_generator_untouched(self, rng):
+        # train calls goss_sample every round, so a = 1 must not draw from the round's generator
+        g = rng.normal(size=50)
+        gen = np.random.default_rng(11)
+        before = gen.bit_generator.state
+        idx, w = goss_sample(g, 1.0, 0.0, gen)
+        np.testing.assert_array_equal(idx, np.arange(50))
+        np.testing.assert_array_equal(w, np.ones(50))
+        assert gen.bit_generator.state == before
+
     def test_small_gradient_weights(self, rng):
         g = rng.normal(size=1000)
         idx, w = goss_sample(g, 0.2, 0.1, 3)

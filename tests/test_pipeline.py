@@ -15,7 +15,6 @@ from physioshap.pipeline import (
     trial_features,
 )
 from physioshap.signals import ChannelKind, preprocess_trial
-from physioshap.ssa import AUTO, SsaConfig
 from physioshap.synthetic import SyntheticSpec, generate_synthetic
 from test_signals import make_trial
 
@@ -42,13 +41,6 @@ class TestDecomposeTrial:
         np.testing.assert_array_equal(
             comps["GSR"][1].values, trial.extras[SCR_TONIC_KEY].values
         )
-
-    def test_auto_mode_runs(self):
-        trial = preprocess_trial(make_trial(n_signal=512))
-        cfg = SsaConfig(kept_components={k: AUTO for k in ChannelKind})
-        comps = decompose_trial(trial, cfg)
-        # noisy random-walk channels keep at least one component
-        assert all(len(v) >= 1 for v in comps.values())
 
 
 class TestExtractDataset:
@@ -134,7 +126,7 @@ class TestRunConfig:
             "synthetic": {"n_subjects": 4, "trials_per_subject": 5, "seed": 2},
             "targets": ["valence", "liking"],
             "entropy": {"m": 2, "r": 0.15, "n": 2},
-            "ssa": {"window_len": 12, "kept_components": {"PPG": 4, "SCR": "auto"}},
+            "ssa": {"window_len": 16},
             "preprocess": {"smooth_span": {"SCR": 64, "Temp": 64, "hEOG": 5, "vEOG": 5,
                                             "zEMG": 5, "tEMG": 5, "PPG": 5, "Resp": 5}},
             "search_space": {"learning_rate": [0.05, 0.3], "num_leaves": [5, 10]},
@@ -144,7 +136,8 @@ class TestRunConfig:
         cfg = run_config_from_dict(doc)
         assert cfg.synthetic.n_subjects == 4
         assert cfg.targets == ("valence", "liking")
-        assert cfg.ssa.kept_components[ChannelKind.SCR] == "auto"
+        assert cfg.ssa.window_len == 16
+        assert cfg.preprocess.smooth_span[ChannelKind.SCR] == 64
         assert cfg.search_space.learning_rate == (0.05, 0.3)
         assert cfg.search_iterations == 7
 

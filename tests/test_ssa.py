@@ -103,7 +103,7 @@ class TestDecompose:
     def test_identity_across_window_lengths(self, rng):
         x = rng.normal(size=256)
         for L in (2, 5, 12, 32):
-            d = decompose(x, SsaConfig(window_len=L, kept_components={}))
+            d = decompose(x, SsaConfig(window_len=L))
             total = sum(c.values for c in d.components)
             assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-8
 
