@@ -29,13 +29,15 @@ DEFAULT_META = {"sample_rate_hz": 128.0, "baseline_samples": 384, "signal_sample
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header line and one line per row.
 
-    Floats, numpy's included, take their shortest round-trip decimal
-    (``repr(float(v))``); every other cell is written with ``str``.
+    Floats take their shortest round-trip decimal, ``repr(float(v))``: that is
+    what ``str`` gives a Python float, while a numpy float is converted first
+    (the repr of ``np.float64`` is not a bare number). Every other cell is
+    written with ``str``.
     """
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            cells = [repr(float(v)) if isinstance(v, np.floating) else str(v) for v in row]
             fh.write(",".join(cells) + "\n")
 
 
