@@ -40,6 +40,7 @@ from .gbdt import (
     GbdtModel,
     SearchSpace,
     TrainConfig,
+    fit,
     goss_sample,
     grow_tree,
     load_model,

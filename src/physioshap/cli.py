@@ -28,7 +28,7 @@ from .errors import (
 )
 from .evaluate import Dataset
 from .explain import global_importance, shap_interactions, shap_values_batch
-from .gbdt import inner_holdout_split, load_model, random_search, save_model, train
+from .gbdt import fit, load_model, save_model
 from .pipeline import (
     RunConfig,
     apply_paper_mode,
@@ -137,18 +137,10 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
-    X = dataset.matrix()
-    y = dataset.labels(args.target)
-    groups = dataset.groups()
-    if cfg.search_iterations >= 1:
-        chosen = random_search(
-            X, y, groups, space=cfg.search_space,
-            iterations=cfg.search_iterations, seed=cfg.seed,
-        )
-    else:
-        chosen = cfg.search_space.base
-    tr_mask, va_mask = inner_holdout_split(groups, cfg.seed)
-    model = train(X[tr_mask], y[tr_mask], (X[va_mask], y[va_mask]), chosen, feature_names=FEATURE_NAMES)
+    _, model = fit(
+        dataset.matrix(), dataset.labels(args.target), dataset.groups(), cfg.seed,
+        cfg.search_iterations, cfg.search_space, feature_names=FEATURE_NAMES,
+    )
     out = _out_dir(cfg)
     path = out / f"model_{args.target}.json"
     save_model(model, path)

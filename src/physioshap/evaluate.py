@@ -4,9 +4,9 @@ engine, and paired comparison.
 Every fold holds one subject out for testing; hyperparameter search, early
 stopping, and training only ever see the remaining subjects. A FoldPlan
 lays out one (dataset, target) once: matrix, labels, groups, row ids, folds
-and fold seeds. run_fold searches, trains and scores one fold of a plan and
-returns the row ids each stage consumed, so that leakage can be asserted
-from an audit, not assumed.
+and fold seeds. run_fold fits and scores one fold of a plan and returns
+the row ids each stage consumed, so that leakage can be asserted from an
+audit, not assumed.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from .errors import (
     DegenerateLabelsError,
     InvalidArgumentError,
 )
-from .gbdt import (
-    GbdtModel,
-    SearchSpace,
-    TrainConfig,
-    inner_holdout_split,
-    predict_margin,
-    random_search,
-    train,
-)
+from .gbdt import GbdtModel, SearchSpace, TrainConfig, fit, predict_margin
 from .signals import RATING_NAMES
 
 
@@ -244,18 +236,6 @@ class FoldPlan:
         return replace(self, X=self.X.take(cols, axis=1), feature_names=names)
 
 
-def search_fold(
-    plan: FoldPlan, index: int, search_budget: int, space: SearchSpace | None = None
-) -> TrainConfig:
-    """Random search on the training subjects of fold ``index``, seeded by
-    the fold; global search mode runs it once, on the first fold."""
-    tr = plan.folds[index].train_idx
-    return random_search(
-        plan.X[tr], plan.y[tr], plan.groups[tr],
-        space=space, iterations=search_budget, seed=plan.seeds[index],
-    )
-
-
 def run_fold(
     plan: FoldPlan,
     index: int,
@@ -263,31 +243,26 @@ def run_fold(
     space: SearchSpace | None = None,
     fixed_config: TrainConfig | None = None,
 ) -> tuple[FoldResult, GbdtModel | None, tuple]:
-    """Search (train subjects only), train, and score fold ``index``.
+    """Fit (``gbdt.fit`` on the train subjects, seeded by the fold) and
+    score fold ``index``.
 
     Returns the result, the fold's model (None when the fold failed) and
     the audit stages: (stage, row ids) pairs in the order they ran.
     """
     fold = plan.folds[index]
-    seed = plan.seeds[index]
     tr, te = fold.train_idx, fold.test_idx
-    stages = []
+    searched = fixed_config is None and search_budget >= 1
+    stages = [("search" if searched else "train", plan.row_ids[tr])]
     try:
-        if fixed_config is None and search_budget >= 1:
-            stages.append(("search", plan.row_ids[tr]))
-            cfg = search_fold(plan, index, search_budget, space)
-        else:
-            cfg = fixed_config or TrainConfig(seed=seed)
-        stages.append(("train", plan.row_ids[tr]))
-        inner_train, inner_valid = inner_holdout_split(plan.groups[tr], seed)
-        fit_rows, valid_rows = tr[inner_train], tr[inner_valid]
-        model = train(
-            plan.X[fit_rows], plan.y[fit_rows], (plan.X[valid_rows], plan.y[valid_rows]),
-            cfg, feature_names=plan.feature_names,
+        cfg, model = fit(
+            plan.X[tr], plan.y[tr], plan.groups[tr], plan.seeds[index],
+            search_budget, space, fixed_config, plan.feature_names,
         )
     except DegenerateLabelsError as exc:
         result = FoldResult(fold.subject_id, te.size, math.nan, math.nan, None, 0, True, str(exc))
         return result, None, tuple(stages)
+    if searched:
+        stages.append(("train", plan.row_ids[tr]))
     pred = (predict_margin(model, plan.X[te]) > 0).astype(int)
     m = compute_metrics(plan.y[te], pred)
     result = FoldResult(fold.subject_id, te.size, m.accuracy, m.f1, cfg, model.best_iteration)

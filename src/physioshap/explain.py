@@ -312,15 +312,11 @@ def brute_force_shapley(model: GbdtModel, x) -> ShapExplanation:
     n = model.n_features
     if n > 20:
         raise CapacityError(f"subset enumeration infeasible for {n} features (max 20)")
-    flats = _used_trees(model)
     memo: dict[frozenset, float] = {}
 
     def value(subset: frozenset) -> float:
         if subset not in memo:
-            total = model.base_score
-            for flat in flats:
-                total += model.learning_rate * _expect_subset(flat, x, subset)
-            memo[subset] = total
+            memo[subset] = coalition_value(model, x, subset)
         return memo[subset]
 
     fact = [math.factorial(k) for k in range(n + 1)]

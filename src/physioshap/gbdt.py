@@ -552,40 +552,67 @@ def inner_holdout_split(
 def random_search(
     X: np.ndarray,
     y: np.ndarray,
-    groups: np.ndarray,
+    valid: tuple[np.ndarray, np.ndarray],
     space: SearchSpace | None = None,
     iterations: int = 300,
     seed: int = 0,
-) -> TrainConfig:
-    """Pick the config with minimal inner-validation logloss.
+    feature_names: Sequence[str] | None = None,
+) -> tuple[TrainConfig, GbdtModel]:
+    """Pick the config with minimal validation logloss, and its model.
 
     Candidates are sampled uniformly from ``space``; each is trained with
-    early stopping on a subject-disjoint 10% holdout of the given groups
-    (the same holdout for every candidate) and scored by its best
-    validation logloss. Deterministic given the seed.
+    early stopping on the ``valid`` pair (the same pair for every
+    candidate) and scored by its best validation logloss; the first
+    minimum wins. Deterministic given the seed.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     space = space or SearchSpace()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    train_mask, valid_mask = inner_holdout_split(np.asarray(groups), seed)
-    Xi, yi = X[train_mask], y[train_mask]
-    Xv, yv = X[valid_mask], y[valid_mask]
+    Xv, yv = valid
     rng = np.random.default_rng(seed)
-    best_cfg = None
+    best = None
     best_loss = math.inf
     for _ in range(iterations):
         cand_seed = int(rng.integers(2**63))
         cfg = space.sample(rng, cand_seed)
         try:
-            model = train(Xi, yi, (Xv, yv), cfg)
+            model = train(X, y, valid, cfg, feature_names)
         except DegenerateLabelsError:
             continue
         loss = binary_logloss(yv, predict_margin(model, Xv))
         if loss < best_loss:
             best_loss = loss
-            best_cfg = cfg
-    if best_cfg is None:
+            best = cfg, model
+    if best is None:
         raise DegenerateLabelsError("no search candidate could be trained")
-    return best_cfg
+    return best
+
+
+def fit(
+    X: np.ndarray,
+    y: np.ndarray,
+    groups: np.ndarray,
+    seed: int,
+    search_budget: int = 0,
+    space: SearchSpace | None = None,
+    config: TrainConfig | None = None,
+    feature_names: Sequence[str] | None = None,
+) -> tuple[TrainConfig, GbdtModel]:
+    """Choose a config and train it with early stopping on an inner holdout.
+
+    The holdout is ``inner_holdout_split(groups, seed)``. A given ``config``
+    is trained as it is; otherwise ``search_budget >= 1`` runs
+    ``random_search`` on the holdout and returns the winner with the model
+    the search trained, and a budget of 0 trains ``space.base`` with
+    ``seed``. Returns (config, model).
+    """
+    space = space or SearchSpace()
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    fit_mask, valid_mask = inner_holdout_split(groups, seed)
+    valid = (X[valid_mask], y[valid_mask])
+    X, y = X[fit_mask], y[fit_mask]
+    if config is None and search_budget >= 1:
+        return random_search(X, y, valid, space, search_budget, seed, feature_names)
+    config = config or replace(space.base, seed=seed)
+    return config, train(X, y, valid, config, feature_names)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from .entropy import COMPONENT_SCHEMA, EntropyConfig, FeatureVector, extract_feature_vector
-from .errors import ConfigError, SchemaMismatchError
+from .errors import ConfigError, DegenerateLabelsError, SchemaMismatchError
 from .evaluate import (
     CvReport,
     Dataset,
@@ -22,7 +22,6 @@ from .evaluate import (
     MetricSummary,
     RunAudit,
     run_fold,
-    search_fold,
     summarize_folds,
 )
 from .explain import (
@@ -33,7 +32,7 @@ from .explain import (
     select_features,
     shap_values_batch,
 )
-from .gbdt import SearchSpace, TrainConfig, predict_margin, sigmoid
+from .gbdt import SearchSpace, TrainConfig, fit, predict_margin, sigmoid
 from .signals import (
     RATING_NAMES,
     SCR_PHASIC_KEY,
@@ -98,7 +97,12 @@ def extract_dataset(
     jobs: int = 1,
 ) -> Dataset:
     """Run the full feature pipeline over many trials (optionally in a
-    process pool; results are order-stable either way)."""
+    process pool; results are order-stable either way). A ``window_len``
+    longer than the shortest trial fails before any trial is processed."""
+    window = (ssa_cfg or SsaConfig()).window_len
+    shortest = min((t.n_samples for t in trials), default=window)
+    if window > shortest:
+        raise ConfigError(f"ssa.window_len {window} exceeds the shortest trial ({shortest} samples)")
     tasks = [(i, t, pre_cfg, ssa_cfg, ent_cfg) for i, t in enumerate(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -174,20 +178,27 @@ def run_loso_explained(
     """LOSO evaluation that also explains each fold's test samples with the
     fold's own model, pooling the attributions for a global ranking.
 
-    ``search_mode="global"`` searches once on the first fold's training
-    subjects and reuses that config everywhere. Folds whose training labels
-    collapse to one class are flagged and left out of the aggregates. Folds
-    fan out to a process pool when jobs > 1, each worker receiving the plan
-    once; per-fold seeding keeps the result identical to the sequential run.
+    ``search_mode="global"`` searches fold by fold, in fold order, until a
+    search trains a candidate, and reuses that config everywhere. Folds
+    whose training labels collapse to one class are flagged and left out of
+    the aggregates. Folds fan out to a process pool when jobs > 1, each
+    worker receiving the plan once; per-fold seeding keeps the result
+    identical to the sequential run.
     """
     if search_mode not in SEARCH_MODES:
         raise ConfigError(f"unknown search_mode {search_mode!r}")
     plan = FoldPlan.build(dataset, target, seed)
     if search_mode == "global" and fixed_config is None and search_budget >= 1:
-        first = plan.folds[0]
-        if audit is not None:
-            audit.record(first.subject_id, "search", plan.row_ids[first.train_idx])
-        fixed_config = search_fold(plan, 0, search_budget, space)
+        for i, fold in enumerate(plan.folds):
+            tr = fold.train_idx
+            if audit is not None:
+                audit.record(fold.subject_id, "search", plan.row_ids[tr])
+            try:
+                fixed_config, _ = fit(plan.X[tr], plan.y[tr], plan.groups[tr], plan.seeds[i], search_budget, space)
+                break
+            except DegenerateLabelsError:
+                if i == len(plan.folds) - 1:
+                    raise
     tasks = [(i, search_budget, space, fixed_config) for i in range(len(plan.folds))]
     if jobs > 1:
         with ProcessPoolExecutor(jobs, initializer=_adopt_plan, initargs=(plan,)) as pool:

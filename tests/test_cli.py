@@ -3,17 +3,19 @@ import hashlib
 import io
 import json
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import small_config
-from physioshap import cli
+from physioshap import cli, pipeline
 from physioshap.cli import main
-from physioshap.dataio import write_features_csv
+from physioshap.dataio import read_features_csv, write_features_csv
+from physioshap.entropy import FEATURE_NAMES
+from physioshap.evaluate import fold_seed
 from physioshap.explain import shap_values_batch
-from physioshap.gbdt import predict_margin, save_model, train
+from physioshap.gbdt import TrainConfig, inner_holdout_split, predict_margin, save_model, train
 from test_evaluate import make_feature_dataset
 
 
@@ -210,6 +212,35 @@ class TestLosoPipeline:
         save_model(replace(model, feature_names=("hEOG1_SE", "nope")), path)
         assert run(*argv, "--out", tmp / "out2") == 1
 
+    def test_budget_zero_fits_the_configured_base(self, workdir, rng):
+        # with nothing searched, loso and train fit search_space.base under
+        # the fold's or the run's seed, never under base.seed
+        tmp, cfg = workdir
+        ds = make_feature_dataset(rng, n_subjects=4, trials=6)
+        feats = tmp / "features.csv"
+        write_features_csv(ds, feats)
+        base = {"max_rounds": 3, "early_stop": 1, "min_data_in_leaf": 2, "goss_a": 0.5, "goss_b": 0.3}
+        doc = json.loads(cfg.read_text())
+        doc.update(search_iterations=0, search_space={"base": base})
+        zero = tmp / "zero.json"
+        zero.write_text(json.dumps(doc))
+        out = tmp / "out"
+        assert run("loso", "--config", zero, "--features", feats, "--out", out) == 0
+        folds = [
+            f for f in json.loads((out / "loso_valence.json").read_text())["report"]["folds"]
+            if not f["failed"]
+        ]
+        assert folds
+        for f in folds:
+            assert f["config"] == asdict(TrainConfig(**base, seed=fold_seed(9, f["subject_id"])))
+        assert run("train", "--config", zero, "--features", feats, "--target", "valence", "--out", out) == 0
+        table = read_features_csv(feats)
+        X, y = table.matrix(), table.labels("valence")
+        tr, va = inner_holdout_split(table.groups(), 9)
+        expected = train(X[tr], y[tr], (X[va], y[va]), TrainConfig(**base, seed=9), FEATURE_NAMES)
+        save_model(expected, tmp / "expected.json")
+        assert (out / "model_valence.json").read_bytes() == (tmp / "expected.json").read_bytes()
+
     def test_report_without_loso_artifacts(self, workdir, rng):
         tmp, cfg = workdir
         ds = make_feature_dataset(rng, n_subjects=3, trials=4)
@@ -243,6 +274,21 @@ class TestBadConfig:
         assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
         assert "window_len must be at least 4" in capsys.readouterr().err
         assert not (tmp_path / "o" / "features.csv").exists()
+
+    def test_window_longer_than_a_trial_fails_before_work(self, workdir, tmp_path, monkeypatch, capsys):
+        _, cfg = workdir
+        doc = json.loads(cfg.read_text())
+        doc["synthetic"].update(n_subjects=2, trials_per_subject=2)
+        doc["ssa"] = {"window_len": 5000}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        calls = []
+        original = pipeline.preprocess_trial
+        monkeypatch.setattr(pipeline, "preprocess_trial", lambda *a: calls.append(a) or original(*a))
+        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+        assert calls == []
+        assert not (tmp_path / "o" / "features.csv").exists()
+        assert "ssa.window_len 5000 exceeds the shortest trial (128 samples)" in capsys.readouterr().err
 
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -208,6 +208,16 @@ class TestFoldPlan:
             np.testing.assert_array_equal(ids, train_ids)
         _, _, stages = run_fold(plan, 2, 0, fixed_config=small_config())
         assert [s for s, _ in stages] == ["train"]
+        # a fold that cannot train: a search that trains nothing records
+        # the search only, a fixed config the train stage
+        for row in ds.rows:
+            row.ratings["valence"] = 8.0 if row.subject_id == 3 else 2.0
+        plan = FoldPlan.build(ds, "valence", seed=1)
+        assert plan.folds[2].subject_id == 3
+        for budget, fixed, expected in ((2, None, ["search"]), (0, small_config(), ["train"])):
+            result, model, stages = run_fold(plan, 2, budget, fixed_config=fixed)
+            assert result.failed and model is None
+            assert [s for s, _ in stages] == expected
 
 
 class TestWilcoxon:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from physioshap.gbdt import (
     SearchSpace,
     TrainConfig,
     binary_logloss,
+    fit,
     goss_sample,
     grow_tree,
     inner_holdout_split,
@@ -250,19 +252,21 @@ class TestRandomSearch:
 
     def test_single_iteration_returns_sampled(self, rng):
         X, y, groups = self._data(rng)
-        cfg = random_search(X, y, groups, iterations=1, seed=4)
+        cfg, model = fit(X, y, groups, 4, search_budget=1)
         assert isinstance(cfg, TrainConfig)
+        assert isinstance(model, GbdtModel)
 
     def test_deterministic(self, rng):
         X, y, groups = self._data(rng)
-        a = random_search(X, y, groups, iterations=5, seed=11)
-        b = random_search(X, y, groups, iterations=5, seed=11)
+        a, model_a = fit(X, y, groups, 11, search_budget=5)
+        b, model_b = fit(X, y, groups, 11, search_budget=5)
         assert a == b
+        assert model_to_dict(model_a) == model_to_dict(model_b)
 
     def test_planted_optimum_matches_grid(self, rng):
         X, y, groups = self._data(rng)
         space = _TwoPointSpace()
-        chosen = random_search(X, y, groups, space=space, iterations=8, seed=2)
+        chosen, _ = fit(X, y, groups, 2, search_budget=8, space=space)
         # exhaustive oracle over the two candidate rates with the same split
         tr_mask, va_mask = inner_holdout_split(groups, 2)
         best_lr, best_loss = None, math.inf
@@ -278,7 +282,31 @@ class TestRandomSearch:
         X = rng.normal(size=(20, 2))
         y = (X[:, 0] > 0).astype(float)
         with pytest.raises(InvalidArgumentError):
-            random_search(X, y, np.zeros(20), iterations=1, seed=0)
+            fit(X, y, np.zeros(20), 0, search_budget=1)
+
+    def test_search_model_is_the_winner_trained_on_the_holdout(self, rng):
+        # fit returns the model the search trained, so it need not train
+        # the winner again: a second fit of it gives the same model
+        X, y, groups = self._data(rng)
+        names = ("a", "b", "c", "d")
+        chosen, model = fit(X, y, groups, 7, search_budget=3, feature_names=names)
+        tr_mask, va_mask = inner_holdout_split(groups, 7)
+        again = train(X[tr_mask], y[tr_mask], (X[va_mask], y[va_mask]), chosen, names)
+        assert model_to_dict(model) == model_to_dict(again)
+        assert random_search(
+            X[tr_mask], y[tr_mask], (X[va_mask], y[va_mask]), iterations=3, seed=7
+        )[0] == chosen
+
+    def test_budget_zero_trains_the_base_under_the_given_seed(self, rng):
+        X, y, groups = self._data(rng)
+        base = small_config(seed=123)
+        cfg, model = fit(X, y, groups, 5, space=SearchSpace(base=base))
+        assert cfg == replace(base, seed=5)
+        tr_mask, va_mask = inner_holdout_split(groups, 5)
+        expected = train(X[tr_mask], y[tr_mask], (X[va_mask], y[va_mask]), cfg)
+        assert model_to_dict(model) == model_to_dict(expected)
+        # a given config is trained as it is, whatever the budget
+        assert fit(X, y, groups, 5, search_budget=3, config=base)[0] == base
 
 
 def _model_text(split_feature=0, best_iteration=1):

@@ -3,10 +3,11 @@ checked byte for byte against stored sha256 digests.
 
 The chain is extract -> loso -> select -> train -> explain --interactions ->
 report, plus a ``search_mode: "global"`` loso and select on the same
-features. The global pass leaves out liking: on this table the first fold's
-liking search cannot train a candidate, and global mode then stops the whole
-run (exit 2) where per-fold mode flags that one fold as failed. It runs at --jobs 1 and --jobs 2, and both must give the stored
-digests. Only a change that declares changed output bits may re-pin
+features. The global pass leaves out liking, which it has pinned since
+before global mode searched past a fold whose search trains no candidate;
+``test_global_liking_searches_past_the_first_fold`` covers that case. It
+runs at --jobs 1 and --jobs 2, and both must give the stored digests. Only
+a change that declares changed output bits may re-pin
 ``golden_hashes.json``, by running ``python tests/test_golden.py`` with the
 package on the path.
 """
@@ -22,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from physioshap.cli import main
+from physioshap.dataio import read_features_csv
+from physioshap.evaluate import RunAudit
+from physioshap.pipeline import run_config_from_dict, run_loso_explained
 
 HASHES = Path(__file__).parent / "golden_hashes.json"
 
@@ -87,6 +91,27 @@ def test_golden_digests(tmp_path, jobs):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"outputs differ from the golden run: {changed}"
+
+
+def test_global_liking_searches_past_the_first_fold(tmp_path):
+    # the first fold's liking search trains no candidate; global mode goes
+    # on to the second fold's, and only the first fold fails
+    doc = {**CONFIG, "search_mode": "global", "targets": ["liking"]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    _cli("extract", "--config", cfg, "--out", out)
+    _cli("loso", "--config", cfg, "--out", out, "--features", out / "features.csv")
+    report = json.loads((out / "loso_liking.json").read_text())["report"]
+    assert report["failed_subjects"] == [1]
+    audit = RunAudit()
+    run_cfg = run_config_from_dict(doc)
+    run = run_loso_explained(
+        read_features_csv(out / "features.csv"), "liking", run_cfg.search_iterations, run_cfg.seed,
+        space=run_cfg.search_space, audit=audit, search_mode="global",
+    )
+    assert sorted(k for k in audit.stages if k[1] == "search") == [(1, "search"), (2, "search")]
+    assert len({f.config for f in run.report.folds[1:]}) == 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ import numpy as np
 
 from conftest import small_config
 from physioshap import explain, gbdt
+from physioshap.pipeline import run_loso_explained
+from test_evaluate import make_feature_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -45,3 +47,31 @@ def test_tracer_targets_resolve_and_record_notes(rng, monkeypatch):
     leaves = [(t.children_left < 0).sum() for t in model.trees[: model.best_iteration]]
     assert notes["leaves"] == np.mean(leaves) > 1
     assert spans["gbdt.grow_tree"].parent >= 0
+
+
+def test_a_searched_fold_trains_only_its_candidates(rng, monkeypatch):
+    # the benchmark counts train spans under random_search as search
+    # candidates and the rest as fits: a searched fold keeps the model its
+    # search trained, so it has no other train span
+    tracer_module = _load_tracer(monkeypatch)
+    tracer = tracer_module.Tracer()
+    tracer.install(tracer_module.targets())
+    try:
+        ds = make_feature_dataset(rng, n_subjects=4, trials=6)
+        space = gbdt.SearchSpace(base=small_config())
+        run_loso_explained(ds, "valence", 2, seed=3, space=space)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    parent = lambda s: spans[s.parent].name if s.parent >= 0 else ""  # noqa: E731
+    folds = [i for i, s in enumerate(spans) if s.name == "evaluate.run_fold"]
+    assert len(folds) == 4
+    for s in spans:
+        if s.name == "gbdt.random_search":
+            assert parent(s) == "evaluate.run_fold"
+    trains = [s for s in spans if s.name == "gbdt.train"]
+    assert all(parent(s) == "gbdt.random_search" for s in trains)
+    per_fold = {i: 0 for i in folds}
+    for s in trains:
+        per_fold[spans[s.parent].parent] += 1
+    assert list(per_fold.values()) == [2, 2, 2, 2]
