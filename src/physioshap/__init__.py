@@ -53,7 +53,6 @@ from .pipeline import RunConfig, extract_dataset, run_loso_explained, trial_feat
 from .signals import (
     ChannelKind,
     PreprocessConfig,
-    TimeSeries,
     Trial,
     baseline_correct,
     detrend_quadratic,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,9 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entropy import FEATURE_NAMES, FeatureVector
-from .errors import IngestionError
+from .errors import IngestionError, InvalidArgumentError
 from .evaluate import Dataset, DatasetRow
-from .signals import CHANNEL_ORDER, RATING_NAMES, TimeSeries, Trial
+from .signals import CHANNEL_ORDER, RATING_NAMES, Trial
 
 DEFAULT_META = {"sample_rate_hz": 128.0, "baseline_samples": 384, "signal_samples": 7680}
 
@@ -49,13 +50,19 @@ def _load_meta(root: Path) -> dict:
         doc = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{meta_path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise IngestionError(f"{meta_path}: expected a JSON object")
     meta = dict(DEFAULT_META)
     unknown = [k for k in doc if k not in meta]
     if unknown:
         raise IngestionError(f"{meta_path}: unknown keys {unknown}")
     meta.update(doc)
-    if meta["baseline_samples"] < 1 or meta["signal_samples"] < 1 or meta["sample_rate_hz"] <= 0:
-        raise IngestionError(f"{meta_path}: dimensions must be positive")
+    for key in ("baseline_samples", "signal_samples"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise IngestionError(f"{meta_path}: {key} must be a positive integer, got {meta[key]!r}")
+    rate = meta["sample_rate_hz"]
+    if type(rate) not in (int, float) or not (0 < rate < math.inf):
+        raise IngestionError(f"{meta_path}: sample_rate_hz must be a positive number, got {rate!r}")
     return meta
 
 
@@ -133,8 +140,8 @@ def ingest_dataset(root) -> list[Trial]:
     if not root.is_dir():
         raise IngestionError(f"dataset directory {root} does not exist")
     meta = _load_meta(root)
-    n_base = int(meta["baseline_samples"])
-    n_sig = int(meta["signal_samples"])
+    n_base = meta["baseline_samples"]
+    n_sig = meta["signal_samples"]
     rate = float(meta["sample_rate_hz"])
     subjects = []
     for child in root.iterdir():
@@ -159,39 +166,38 @@ def ingest_dataset(root) -> list[Trial]:
             for name, value in ratings.items():
                 if not (1.0 <= value <= 9.0):
                     raise IngestionError(f"{labels_path}: {name}={value} outside [1, 9]")
-            channels = {}
-            baselines = {}
-            for kind in CHANNEL_ORDER:
-                col = columns[kind.value]
-                baselines[kind] = TimeSeries(col[:n_base], rate)
-                channels[kind] = TimeSeries(col[n_base:], rate)
             trials.append(
                 Trial(
                     subject_id=subject_id,
                     trial_id=trial_id,
-                    channels=channels,
-                    baselines=baselines,
+                    channels={k: columns[k.value][n_base:] for k in CHANNEL_ORDER},
+                    baselines={k: columns[k.value][:n_base] for k in CHANNEL_ORDER},
                     ratings=ratings,
+                    sample_rate_hz=rate,
                 )
             )
     return trials
 
 
-def write_dataset(trials: Sequence[Trial], root, sample_rate_hz: float | None = None) -> None:
-    """Write trials in the ingestible directory layout plus meta.json."""
+def write_dataset(trials: Sequence[Trial], root) -> None:
+    """Write trials in the ingestible directory layout plus meta.json, which
+    states the one rate and shape that every trial must share."""
+    def shape(trial: Trial) -> tuple:
+        return trial.sample_rate_hz, len(next(iter(trial.baselines.values()))), trial.n_samples
+
+    rate, n_base, n_sig = shape(trials[0])
+    odd = [(t.subject_id, t.trial_id) for t in trials if shape(t) != (rate, n_base, n_sig)]
+    if odd:
+        raise InvalidArgumentError(f"trials {odd} differ from the first in rate or length")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    first = trials[0]
-    n_base = len(next(iter(first.baselines.values())))
-    n_sig = first.n_samples
-    rate = sample_rate_hz or next(iter(first.channels.values())).sample_rate_hz
     meta = {"sample_rate_hz": rate, "baseline_samples": n_base, "signal_samples": n_sig}
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True))
     for trial in trials:
         subject_dir = root / f"subject_{trial.subject_id}"
         subject_dir.mkdir(exist_ok=True)
         cols = [
-            np.concatenate([trial.baselines[kind].values, trial.channels[kind].values])
+            np.concatenate([trial.baselines[kind], trial.channels[kind]])
             for kind in CHANNEL_ORDER
         ]
         write_csv(

@@ -32,7 +32,7 @@ from .explain import (
     select_features,
     shap_values_batch,
 )
-from .gbdt import SearchSpace, TrainConfig, fit, predict_margin, sigmoid
+from .gbdt import SearchSpace, TrainConfig, predict_margin, sigmoid
 from .signals import (
     RATING_NAMES,
     SCR_PHASIC_KEY,
@@ -179,7 +179,8 @@ def run_loso_explained(
     fold's own model, pooling the attributions for a global ranking.
 
     ``search_mode="global"`` searches fold by fold, in fold order, until a
-    search trains a candidate, and reuses that config everywhere. Folds
+    search trains a candidate; that fold keeps the model its search trained
+    and every other fold is fitted with the config it settled on. Folds
     whose training labels collapse to one class are flagged and left out of
     the aggregates. Folds fan out to a process pool when jobs > 1, each
     worker receiving the plan once; per-fold seeding keeps the result
@@ -188,23 +189,26 @@ def run_loso_explained(
     if search_mode not in SEARCH_MODES:
         raise ConfigError(f"unknown search_mode {search_mode!r}")
     plan = FoldPlan.build(dataset, target, seed)
+    settled = None
     if search_mode == "global" and fixed_config is None and search_budget >= 1:
         for i, fold in enumerate(plan.folds):
-            tr = fold.train_idx
-            if audit is not None:
-                audit.record(fold.subject_id, "search", plan.row_ids[tr])
-            try:
-                fixed_config, _ = fit(plan.X[tr], plan.y[tr], plan.groups[tr], plan.seeds[i], search_budget, space)
+            outcome = _explain_fold(plan, i, search_budget, space, None)
+            result, stages, explained = outcome
+            if explained is not None:
+                settled, fixed_config = i, result.config
                 break
-            except DegenerateLabelsError:
-                if i == len(plan.folds) - 1:
-                    raise
-    tasks = [(i, search_budget, space, fixed_config) for i in range(len(plan.folds))]
+            if audit is not None:
+                audit.record_fold(fold.subject_id, stages)
+        else:
+            raise DegenerateLabelsError(result.reason)
+    tasks = [(i, search_budget, space, fixed_config) for i in range(len(plan.folds)) if i != settled]
     if jobs > 1:
         with ProcessPoolExecutor(jobs, initializer=_adopt_plan, initargs=(plan,)) as pool:
             outcomes = list(pool.map(_explain_fold_in_worker, tasks))
     else:
         outcomes = [_explain_fold(plan, *task) for task in tasks]
+    if settled is not None:
+        outcomes.insert(settled, outcome)
     results = []
     explanations: list[ShapExplanation] = []
     predictions: list[PredictionRow] = []
@@ -361,13 +365,18 @@ def apply_paper_mode(cfg: RunConfig) -> RunConfig:
 
 def resolve_jobs(cli_jobs: int | None, config_jobs: int = 1) -> int:
     """--jobs wins, then the PHYSIO_EXPLAIN_JOBS environment variable, then
-    the configured ``jobs`` (1, single-process, unless configured)."""
-    if cli_jobs is not None:
-        return max(1, int(cli_jobs))
+    the configured ``jobs`` (1, single-process, unless configured). A value
+    below 1 is a ConfigError, whichever source gave it."""
     env = os.environ.get("PHYSIO_EXPLAIN_JOBS")
-    if env:
+    if cli_jobs is not None:
+        source, jobs = "--jobs", int(cli_jobs)
+    elif env:
         try:
-            return max(1, int(env))
+            source, jobs = "PHYSIO_EXPLAIN_JOBS", int(env)
         except ValueError as exc:
             raise ConfigError(f"PHYSIO_EXPLAIN_JOBS={env!r} is not an integer") from exc
-    return config_jobs
+    else:
+        source, jobs = "config jobs", config_jobs
+    if jobs < 1:
+        raise ConfigError(f"{source} must be >= 1, got {jobs}")
+    return jobs

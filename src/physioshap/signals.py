@@ -1,14 +1,16 @@
-"""Time-series/trial data model and the per-channel preprocessing chain.
+"""Trial data model and the per-channel preprocessing chain.
 
-Every recording is a uniformly sampled scalar series. A trial bundles the
-eight peripheral channels of one subject watching one video, the pre-stimulus
-baseline segments, and the continuous 9-point affect ratings. All operations
-are pure: the same input always produces the bit-identical output.
+Every signal is a 1-D float64 array of uniformly spaced samples. A trial
+bundles the eight peripheral channels of one subject watching one video, the
+pre-stimulus baseline segments and the continuous 9-point affect ratings, and
+states the one sampling rate they share. All operations are pure: the same
+input always produces the bit-identical output.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -37,64 +39,40 @@ SCR_PHASIC_KEY = "SCR_phasic"
 SCR_TONIC_KEY = "SCR_tonic"
 
 
-def _as_values(ts) -> np.ndarray:
-    """Accept a TimeSeries or a plain 1-D array-like and return float64 values."""
-    if isinstance(ts, TimeSeries):
-        return ts.values
-    arr = np.asarray(ts, dtype=np.float64)
+def _as_values(x) -> np.ndarray:
+    """Return a 1-D array-like as float64 values."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidArgumentError(f"expected a 1-D signal, got shape {arr.shape}")
     return arr
 
 
-def _sample_rate(ts) -> float:
-    """The rate of a TimeSeries; a plain array takes TimeSeries's default."""
-    return ts.sample_rate_hz if isinstance(ts, TimeSeries) else TimeSeries.sample_rate_hz
-
-
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """A uniformly sampled scalar signal.
-
-    values : 1-D float64 array, length >= 1, all finite (stored read-only)
-    sample_rate_hz : positive sampling rate, 128 Hz by default
-    """
-
-    values: np.ndarray
-    sample_rate_hz: float = 128.0
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidArgumentError("TimeSeries needs a non-empty 1-D value array")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("TimeSeries values must all be finite")
-        if not (self.sample_rate_hz > 0):
-            raise InvalidArgumentError("sample_rate_hz must be positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def with_values(self, values: np.ndarray) -> "TimeSeries":
-        return TimeSeries(values, self.sample_rate_hz)
-
-    @property
-    def duration_s(self) -> float:
-        return self.values.size / self.sample_rate_hz
+def _checked_signal(name: str, x) -> np.ndarray:
+    """A read-only, non-empty, finite float64 copy of a 1-D signal."""
+    arr = np.array(x, dtype=np.float64, copy=True)
+    if arr.ndim != 1 or arr.size < 1:
+        raise InvalidArgumentError(f"signal {name} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"signal {name} has non-finite values")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Trial:
-    """One subject x video recording with per-channel baselines and ratings."""
+    """One subject x video recording with per-channel baselines and ratings.
+
+    Every channel, baseline and extra is stored as a read-only, non-empty,
+    finite float64 copy, all sampled at the one ``sample_rate_hz``.
+    """
 
     subject_id: int
     trial_id: int
-    channels: Mapping[ChannelKind, TimeSeries]
-    baselines: Mapping[ChannelKind, TimeSeries]
+    channels: Mapping[ChannelKind, np.ndarray]
+    baselines: Mapping[ChannelKind, np.ndarray]
     ratings: Mapping[str, float]
-    extras: Mapping[str, TimeSeries] = field(default_factory=dict)
+    extras: Mapping[str, np.ndarray] = field(default_factory=dict)
+    sample_rate_hz: float = 128.0
 
     def __post_init__(self):
         missing = [k.value for k in CHANNEL_ORDER if k not in self.channels]
@@ -103,6 +81,12 @@ class Trial:
         extra = [k for k in self.channels if k not in CHANNEL_ORDER]
         if extra:
             raise SchemaMismatchError(f"trial has unknown channels: {extra}")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise InvalidArgumentError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        for role, attr in (("channel", "channels"), ("baseline", "baselines"), ("extra", "extras")):
+            signals = getattr(self, attr).items()
+            checked = {k: _checked_signal(f"{role} {getattr(k, 'value', k)}", x) for k, x in signals}
+            object.__setattr__(self, attr, checked)
         lengths = {len(ts) for ts in self.channels.values()}
         if len(lengths) != 1:
             raise SchemaMismatchError(f"channel lengths differ: {sorted(lengths)}")
@@ -168,74 +152,68 @@ def _window_bounds(n: int, span: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def moving_average_smooth(ts: TimeSeries, span: int) -> TimeSeries:
+def moving_average_smooth(x, span: int) -> np.ndarray:
     """Centered moving-average filter with edge windows shrinking symmetrically.
 
     span=1 is the identity; a constant series is unchanged for any span.
     """
-    x = _as_values(ts)
+    x = _as_values(x)
     span = int(span)
     if span < 1:
         raise InvalidArgumentError(f"span must be >= 1, got {span}")
     if span > x.size:
         raise InvalidArgumentError(f"span {span} exceeds signal length {x.size}")
     if span == 1:
-        return ts if isinstance(ts, TimeSeries) else TimeSeries(x)
+        return x
     lo, hi = _window_bounds(x.size, span)
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    out = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
-    rate = _sample_rate(ts)
-    return TimeSeries(out, rate)
+    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
 
 
-def baseline_correct(ts: TimeSeries, baseline: TimeSeries) -> TimeSeries:
+def baseline_correct(x, baseline) -> np.ndarray:
     """Subtract the mean of the pre-stimulus baseline segment."""
-    x = _as_values(ts)
+    x = _as_values(x)
     b = _as_values(baseline)
     if b.size == 0:
         raise InvalidArgumentError("baseline must be non-empty")
-    rate = _sample_rate(ts)
-    return TimeSeries(x - b.mean(), rate)
+    return x - b.mean()
 
 
-def znormalize(ts: TimeSeries) -> TimeSeries:
+def znormalize(x) -> np.ndarray:
     """Center to zero mean and scale to unit population standard deviation."""
-    x = _as_values(ts)
+    x = _as_values(x)
     sd = x.std()
     if sd == 0.0:
         raise DegenerateSignalError("cannot z-normalize a zero-variance signal")
-    rate = _sample_rate(ts)
-    return TimeSeries((x - x.mean()) / sd, rate)
+    return (x - x.mean()) / sd
 
 
-def detrend_quadratic(ts: TimeSeries) -> TimeSeries:
+def detrend_quadratic(x) -> np.ndarray:
     """Remove the least-squares quadratic trend over the sample index.
 
     The residual is orthogonal to {1, t, t^2}; exact quadratics (and
     therefore linear ramps and constants) map to zero.
     """
-    x = _as_values(ts)
+    x = _as_values(x)
     if x.size < 3:
         raise InvalidArgumentError("quadratic detrend needs at least 3 samples")
     t = np.arange(x.size, dtype=np.float64)
     fit = np.polynomial.Polynomial.fit(t, x, deg=2)
-    rate = _sample_rate(ts)
-    return TimeSeries(x - fit(t), rate)
+    return x - fit(t)
 
 
-def scr_split(ts: TimeSeries, tonic_window_s: float) -> tuple[TimeSeries, TimeSeries]:
-    """Split skin conductance into (phasic, tonic) parts.
+def scr_split(x, tonic_window_s: float, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split skin conductance sampled at ``sample_rate_hz`` into (phasic, tonic).
 
     The tonic part is a centered moving median over ``tonic_window_s``
     seconds (same edge convention as the smoother); the phasic part is the
     remainder, so phasic + tonic reproduces the input exactly.
     """
-    x = _as_values(ts)
-    rate = _sample_rate(ts)
-    w = int(round(tonic_window_s * rate))
+    x = _as_values(x)
+    w = int(round(tonic_window_s * sample_rate_hz))
     if w < 3:
         raise InvalidArgumentError(
-            f"tonic window of {tonic_window_s} s is under 3 samples at {rate} Hz"
+            f"tonic window of {tonic_window_s} s is under 3 samples at {sample_rate_hz} Hz"
         )
     if w > x.size:
         raise InvalidArgumentError(f"tonic window ({w} samples) exceeds signal length {x.size}")
@@ -252,8 +230,7 @@ def scr_split(ts: TimeSeries, tonic_window_s: float) -> tuple[TimeSeries, TimeSe
             continue
         r = min(i, x.size - 1 - i)
         tonic[i] = np.median(x[i - r : i + r + 1])
-    phasic = x - tonic
-    return TimeSeries(phasic, rate), TimeSeries(tonic, rate)
+    return x - tonic, tonic
 
 
 def preprocess_trial(trial: Trial, cfg: PreprocessConfig | None = None) -> Trial:
@@ -265,32 +242,33 @@ def preprocess_trial(trial: Trial, cfg: PreprocessConfig | None = None) -> Trial
     cfg = cfg or PreprocessConfig()
     if not trial.baselines:
         raise InvalidArgumentError("preprocess_trial needs baseline segments")
-    processed: dict[ChannelKind, TimeSeries] = {}
-    extras: dict[str, TimeSeries] = dict(trial.extras)
+    rate = trial.sample_rate_hz
+    processed: dict[ChannelKind, np.ndarray] = {}
+    extras: dict[str, np.ndarray] = dict(trial.extras)
     for kind in CHANNEL_ORDER:
-        ts = trial.channels[kind]
+        x = trial.channels[kind]
         step = "smooth"
         try:
-            ts = moving_average_smooth(ts, cfg.smooth_span[kind])
+            x = moving_average_smooth(x, cfg.smooth_span[kind])
             step = "baseline"
-            ts = baseline_correct(ts, trial.baselines[kind])
+            x = baseline_correct(x, trial.baselines[kind])
             step = "normalize"
-            ts = znormalize(ts)
+            x = znormalize(x)
             if kind not in cfg.detrend_exempt:
                 step = "detrend"
-                ts = detrend_quadratic(ts)
+                x = detrend_quadratic(x)
             if kind is ChannelKind.SCR:
                 step = "scr-split"
                 # cap the tonic window at the recording length so short
                 # trials stay processable; scr_split itself stays strict
-                window_s = min(cfg.scr_tonic_window_s, len(ts) / ts.sample_rate_hz)
-                phasic, tonic = scr_split(ts, window_s)
+                window_s = min(cfg.scr_tonic_window_s, x.size / rate)
+                phasic, tonic = scr_split(x, window_s, rate)
                 extras[SCR_PHASIC_KEY] = phasic
                 extras[SCR_TONIC_KEY] = tonic
         except Exception as exc:
             exc.args = (f"channel {kind.value}, step {step}: {exc}",)
             raise
-        processed[kind] = ts
+        processed[kind] = x
     return Trial(
         subject_id=trial.subject_id,
         trial_id=trial.trial_id,
@@ -298,4 +276,5 @@ def preprocess_trial(trial: Trial, cfg: PreprocessConfig | None = None) -> Trial
         baselines=trial.baselines,
         ratings=trial.ratings,
         extras=extras,
+        sample_rate_hz=rate,
     )

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .signals import TimeSeries, _as_values, _sample_rate
+from .signals import _as_values
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SsaConfig:
 class SsaDecomposition:
     """Elementary series and singular values of one signal."""
 
-    components: tuple[TimeSeries, ...]
+    components: tuple[np.ndarray, ...]
     singular_values: np.ndarray
     window_len: int
     rank: int
@@ -52,9 +52,9 @@ class SsaDecomposition:
             raise InvalidArgumentError("rank must equal the number of components")
 
 
-def embed(ts, window_len: int) -> np.ndarray:
+def embed(x, window_len: int) -> np.ndarray:
     """Build the L x K Hankel trajectory matrix of lagged windows."""
-    x = _as_values(ts)
+    x = _as_values(x)
     n = x.size
     if not (2 <= window_len <= n):
         raise InvalidArgumentError(f"window_len must be in [2, {n}], got {window_len}")
@@ -63,7 +63,7 @@ def embed(ts, window_len: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, window_len)[:k].T.copy()
 
 
-def diagonal_average(mat: np.ndarray) -> TimeSeries:
+def diagonal_average(mat: np.ndarray) -> np.ndarray:
     """Average a matrix over its anti-diagonals (i + j = const) into a series.
 
     This is the exact inverse of ``embed`` on Hankel inputs.
@@ -77,7 +77,7 @@ def diagonal_average(mat: np.ndarray) -> TimeSeries:
     idx = np.add.outer(np.arange(rows), np.arange(cols)).ravel()
     np.add.at(sums, idx, mat.ravel())
     counts = np.bincount(idx, minlength=n).astype(np.float64)
-    return TimeSeries(sums / counts)
+    return sums / counts
 
 
 def _antidiagonal_counts(rows: int, cols: int) -> np.ndarray:
@@ -86,7 +86,7 @@ def _antidiagonal_counts(rows: int, cols: int) -> np.ndarray:
     return np.minimum(np.minimum(d + 1, n - d), min(rows, cols)).astype(np.float64)
 
 
-def decompose(ts, cfg: SsaConfig | None = None) -> SsaDecomposition:
+def decompose(x, cfg: SsaConfig | None = None) -> SsaDecomposition:
     """Full SSA decomposition into elementary diagonally-averaged series.
 
     Eigendecomposition is applied to S = Y Y^T (L x L); with
@@ -95,8 +95,6 @@ def decompose(ts, cfg: SsaConfig | None = None) -> SsaDecomposition:
     value; rank counts eigenvalues above 1e-12 times the largest.
     """
     cfg = cfg or SsaConfig()
-    x = _as_values(ts)
-    rate = _sample_rate(ts)
     traj = embed(x, cfg.window_len)
     s = traj @ traj.T
     try:
@@ -116,11 +114,10 @@ def decompose(ts, cfg: SsaConfig | None = None) -> SsaDecomposition:
     for i in range(d):
         u = eigvecs[:, i]
         w = traj.T @ u  # sigma_i * V_i
-        comp = np.convolve(u, w) / counts
-        components.append(TimeSeries(comp, rate))
+        components.append(np.convolve(u, w) / counts)
     # exactly tied singular values: order those components by descending energy
     for start, stop in _tied_runs(sigma):
-        run = sorted(components[start:stop], key=lambda c: -float(np.mean(c.values**2)))
+        run = sorted(components[start:stop], key=lambda c: -float(np.mean(c**2)))
         components[start:stop] = run
     return SsaDecomposition(tuple(components), sigma, cfg.window_len, d)
 
@@ -158,7 +155,7 @@ def hard_threshold_rank(singular_values, rows: int, cols: int) -> int:
     return int(np.count_nonzero(sv > tau))
 
 
-def reconstruct_selected(decomp: SsaDecomposition, indices: Iterable[int]) -> TimeSeries:
+def reconstruct_selected(decomp: SsaDecomposition, indices: Iterable[int]) -> np.ndarray:
     """Sum the selected elementary components (1-based indices).
 
     An empty selection yields the zero series of matching length.
@@ -169,9 +166,7 @@ def reconstruct_selected(decomp: SsaDecomposition, indices: Iterable[int]) -> Ti
         raise InvalidArgumentError(f"component indices {bad} outside [1, {decomp.rank}]")
     if decomp.rank == 0:
         raise InvalidArgumentError("decomposition has no components")
-    n = len(decomp.components[0])
-    rate = decomp.components[0].sample_rate_hz
-    total = np.zeros(n)
+    total = np.zeros(decomp.components[0].size)
     for i in idx:
-        total += decomp.components[i - 1].values
-    return TimeSeries(total, rate)
+        total += decomp.components[i - 1]
+    return total

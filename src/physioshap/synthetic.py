@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .signals import ChannelKind, TimeSeries, Trial
+from .signals import ChannelKind, Trial
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,12 @@ def _generate_trial(
         rng, n_total, phi=0.8
     )
 
-    channels: dict[ChannelKind, TimeSeries] = {}
-    baselines: dict[ChannelKind, TimeSeries] = {}
+    channels: dict[ChannelKind, np.ndarray] = {}
+    baselines: dict[ChannelKind, np.ndarray] = {}
     for i, kind in enumerate(ChannelKind):
         full = signals[kind] + dc_offsets[i]
-        baselines[kind] = TimeSeries(full[: spec.n_baseline], spec.sample_rate_hz)
-        channels[kind] = TimeSeries(full[spec.n_baseline :], spec.sample_rate_hz)
+        baselines[kind] = full[: spec.n_baseline]
+        channels[kind] = full[spec.n_baseline :]
 
     rating_noise = rng.normal(0.0, 0.15, size=3)
     ratings = {
@@ -178,4 +178,5 @@ def _generate_trial(
         channels=channels,
         baselines=baselines,
         ratings=ratings,
+        sample_rate_hz=spec.sample_rate_hz,
     )

@@ -87,7 +87,7 @@ def test_criterion_01_ssa_identity(rng):
         for _ in range(100):
             x = rng.normal(size=1024)
             d = decompose(x, SsaConfig(window_len=12))
-            total = sum(c.values for c in d.components)
+            total = sum(d.components)
             rel = np.linalg.norm(total - x) / np.linalg.norm(x)
             assert rel < 1e-8
         elapsed = time.perf_counter() - t0

@@ -84,6 +84,29 @@ class TestSynthAndIngest:
         tmp, cfg = workdir
         assert run("ingest-check", "--data", tmp / "nope") == 1
 
+    def test_jobs_below_one_is_bad_input(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        run("synth", "--config", cfg, "--out", tmp / "data")
+        assert run("ingest-check", "--data", tmp / "data", "--jobs", "0") == 1
+        assert run("ingest-check", "--data", tmp / "data", "--jobs", "-3") == 1
+        monkeypatch.setenv("PHYSIO_EXPLAIN_JOBS", "0")
+        assert run("ingest-check", "--data", tmp / "data") == 1
+        assert capsys.readouterr().err.count("must be >= 1") == 3
+
+    @pytest.mark.parametrize("bad", [
+        {"baseline_samples": "32"}, {"baseline_samples": 31.5}, {"signal_samples": True},
+        {"sample_rate_hz": "fast"}, {"sample_rate_hz": 0}, {"sample_rate_hz": False},
+    ], ids=["baseline-str", "baseline-float", "signal-bool", "rate-str", "rate-zero", "rate-bool"])
+    def test_meta_type_errors_are_bad_input(self, workdir, capsys, bad):
+        tmp, cfg = workdir
+        run("synth", "--config", cfg, "--out", tmp / "data")
+        meta = tmp / "data" / "meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), **bad}))
+        capsys.readouterr()
+        assert run("ingest-check", "--data", tmp / "data") == 1
+        err = capsys.readouterr().err
+        assert "meta.json" in err and next(iter(bad)) in err
+
 
 class TestExtract:
     def test_features_csv_shape(self, workdir):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from physioshap.dataio import (
     write_dataset,
     write_features_csv,
 )
-from physioshap.errors import IngestionError
+from physioshap.errors import IngestionError, InvalidArgumentError
+from physioshap.pipeline import trial_features
 from physioshap.signals import CHANNEL_ORDER, ChannelKind
 from physioshap.synthetic import SyntheticSpec, generate_synthetic
 from test_evaluate import make_feature_dataset
@@ -25,16 +28,30 @@ def dataset_dir(tmp_path):
 
 
 class TestRoundTrip:
-    def test_ingest_recovers_trials(self, dataset_dir):
-        root, trials = dataset_dir
-        loaded = ingest_dataset(root)
-        assert len(loaded) == len(trials)
-        for a, b in zip(loaded, trials):
-            assert (a.subject_id, a.trial_id) == (b.subject_id, b.trial_id)
-            assert a.ratings == b.ratings
-            for kind in CHANNEL_ORDER:
-                np.testing.assert_array_equal(a.channels[kind].values, b.channels[kind].values)
-                np.testing.assert_array_equal(a.baselines[kind].values, b.baselines[kind].values)
+    def test_ingest_recovers_trials(self, dataset_dir, tmp_path):
+        spec = SyntheticSpec(
+            n_subjects=2, trials_per_subject=2, seed=4, sample_rate_hz=64.0, duration_s=2.0, baseline_s=0.5
+        )
+        slow = generate_synthetic(spec)
+        write_dataset(slow, tmp_path / "slow")
+        for root, trials in (dataset_dir, (tmp_path / "slow", slow)):
+            loaded = ingest_dataset(root)
+            assert len(loaded) == len(trials)
+            for a, b in zip(loaded, trials):
+                assert (a.subject_id, a.trial_id) == (b.subject_id, b.trial_id)
+                assert a.ratings == b.ratings
+                assert a.sample_rate_hz == b.sample_rate_hz
+                for kind in CHANNEL_ORDER:
+                    np.testing.assert_array_equal(a.channels[kind], b.channels[kind])
+                    np.testing.assert_array_equal(a.baselines[kind], b.baselines[kind])
+                np.testing.assert_array_equal(trial_features(a).as_array(), trial_features(b).as_array())
+
+    def test_write_refuses_trials_of_another_rate(self, dataset_dir, tmp_path):
+        _, trials = dataset_dir
+        odd = replace(trials[1], sample_rate_hz=64.0)
+        with pytest.raises(InvalidArgumentError, match=r"\(1, 2\)"):
+            write_dataset([trials[0], odd], tmp_path / "mixed")
+        assert not (tmp_path / "mixed").exists()
 
     def test_stable_ordering(self, dataset_dir):
         root, _ = dataset_dir

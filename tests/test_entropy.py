@@ -12,7 +12,6 @@ from physioshap.entropy import (
     sample_entropy,
 )
 from physioshap.errors import InvalidArgumentError, SchemaMismatchError
-from physioshap.signals import TimeSeries
 from reference import fuzzy_entropy_reference, sample_entropy_reference
 
 ABS = EntropyConfig(tolerance_mode="absolute")
@@ -76,9 +75,12 @@ class TestSampleEntropy:
         v = sample_entropy(x, cfg)
         assert np.isfinite(v)
 
-    def test_accepts_timeseries(self, rng):
+    def test_accepts_read_only_arrays(self, rng):
+        # a Trial hands the kernels read-only arrays; a list is accepted too
         x = rng.normal(size=120)
-        assert sample_entropy(TimeSeries(x), ABS) == sample_entropy(x, ABS)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        assert sample_entropy(frozen, ABS) == sample_entropy(x, ABS) == sample_entropy(list(x), ABS)
 
 
 class TestFuzzyEntropy:

@@ -94,5 +94,5 @@ def quantized_signals(draw):
 def test_ssa_components_sum_to_signal(case):
     x, window = case
     d = decompose(x, SsaConfig(window_len=window))
-    total = sum((c.values for c in d.components), np.zeros_like(x))
+    total = sum(d.components, np.zeros_like(x))
     assert np.linalg.norm(total - x) <= 1e-8 * np.linalg.norm(x)

@@ -39,7 +39,7 @@ class TestDecomposeTrial:
         from physioshap.signals import SCR_TONIC_KEY
 
         np.testing.assert_array_equal(
-            comps["GSR"][1].values, trial.extras[SCR_TONIC_KEY].values
+            comps["GSR"][1], trial.extras[SCR_TONIC_KEY]
         )
 
 
@@ -173,6 +173,17 @@ class TestResolveJobs:
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("PHYSIO_EXPLAIN_JOBS", "many")
         with pytest.raises(ConfigError):
+            resolve_jobs(None)
+
+    def test_below_one_rejected_from_every_source(self, monkeypatch):
+        monkeypatch.delenv("PHYSIO_EXPLAIN_JOBS", raising=False)
+        for cli_jobs in (0, -3):
+            with pytest.raises(ConfigError, match="--jobs"):
+                resolve_jobs(cli_jobs)
+        with pytest.raises(ConfigError, match="config jobs"):
+            resolve_jobs(None, 0)
+        monkeypatch.setenv("PHYSIO_EXPLAIN_JOBS", "0")
+        with pytest.raises(ConfigError, match="PHYSIO_EXPLAIN_JOBS"):
             resolve_jobs(None)
 
 

@@ -56,16 +56,16 @@ class TestDiagonalAverage:
     def test_inverts_embedding(self, rng):
         x = rng.normal(size=100)
         out = diagonal_average(embed(x, 12))
-        np.testing.assert_allclose(out.values, x, atol=1e-12)
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_single_cell(self):
         out = diagonal_average(np.array([[3.5]]))
-        np.testing.assert_array_equal(out.values, [3.5])
+        np.testing.assert_array_equal(out, [3.5])
 
     def test_matches_brute_force(self, rng):
         m = rng.normal(size=(3, 4))
         out = diagonal_average(m)
-        np.testing.assert_array_equal(out.values, diagonal_average_reference(m))
+        np.testing.assert_array_equal(out, diagonal_average_reference(m))
 
 
 class TestDecompose:
@@ -73,19 +73,19 @@ class TestDecompose:
         x = np.full(200, 3.0)
         d = decompose(x, SsaConfig())
         assert d.rank == 1
-        np.testing.assert_allclose(d.components[0].values, x, atol=1e-8)
+        np.testing.assert_allclose(d.components[0], x, atol=1e-8)
 
     def test_reconstruction_identity(self, rng):
         x = rng.normal(size=512)
         d = decompose(x, SsaConfig())
-        total = sum(c.values for c in d.components)
+        total = sum(d.components)
         assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-8
 
     def test_sinusoid_concentrates_in_two_components(self, rng):
         t = np.arange(2048)
         x = np.sin(2 * np.pi * t / 16)
         d = decompose(x, SsaConfig(window_len=12))
-        energies = np.array([np.sum(c.values**2) for c in d.components])
+        energies = np.array([np.sum(c**2) for c in d.components])
         assert energies[:2].sum() / energies.sum() > 0.999
 
     def test_singular_values_descending_nonnegative(self, rng):
@@ -97,14 +97,14 @@ class TestDecompose:
     def test_component_energy_follows_singular_order(self, rng):
         for _ in range(5):
             d = decompose(rng.normal(size=400), SsaConfig())
-            e = [float(np.sum(c.values**2)) for c in d.components]
+            e = [float(np.sum(c**2)) for c in d.components]
             assert e[0] >= e[-1]
 
     def test_identity_across_window_lengths(self, rng):
         x = rng.normal(size=256)
         for L in (2, 5, 12, 32):
             d = decompose(x, SsaConfig(window_len=L))
-            total = sum(c.values for c in d.components)
+            total = sum(d.components)
             assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-8
 
 
@@ -141,19 +141,19 @@ class TestReconstructSelected:
         x = rng.normal(size=300)
         d = decompose(x, SsaConfig())
         rec = reconstruct_selected(d, range(1, d.rank + 1))
-        assert np.linalg.norm(rec.values - x) / np.linalg.norm(x) < 1e-8
+        assert np.linalg.norm(rec - x) / np.linalg.norm(x) < 1e-8
 
     def test_empty_selection_is_zero(self, rng):
         d = decompose(rng.normal(size=100), SsaConfig())
         rec = reconstruct_selected(d, [])
-        np.testing.assert_array_equal(rec.values, np.zeros(100))
+        np.testing.assert_array_equal(rec, np.zeros(100))
 
     def test_ppg_first_four_close(self):
         rng = np.random.default_rng(7)
         x = ppg_like(rng)
         d = decompose(x, SsaConfig())
         rec = reconstruct_selected(d, [1, 2, 3, 4])
-        rel = np.linalg.norm(rec.values - x) / np.linalg.norm(x)
+        rel = np.linalg.norm(rec - x) / np.linalg.norm(x)
         assert rel < 0.05
 
     def test_out_of_range_rejected(self, rng):
@@ -169,5 +169,5 @@ def test_identity_property_battery(rng):
     for _ in range(100):
         x = rng.normal(size=1024)
         d = decompose(x, SsaConfig(window_len=12))
-        total = sum(c.values for c in d.components)
+        total = sum(d.components)
         assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-8

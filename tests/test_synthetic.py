@@ -54,13 +54,13 @@ class TestGeneration:
         for ta, tb in zip(a, b):
             assert ta.ratings == tb.ratings
             for kind in CHANNEL_ORDER:
-                np.testing.assert_array_equal(ta.channels[kind].values, tb.channels[kind].values)
+                np.testing.assert_array_equal(ta.channels[kind], tb.channels[kind])
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(small_spec(seed=1))
         b = generate_synthetic(small_spec(seed=2))
         assert not np.array_equal(
-            a[0].channels[ChannelKind.vEOG].values, b[0].channels[ChannelKind.vEOG].values
+            a[0].channels[ChannelKind.vEOG], b[0].channels[ChannelKind.vEOG]
         )
 
     def test_zero_effect_strength_decouples_channels(self):
@@ -76,7 +76,7 @@ class TestGeneration:
         means = {}
         for t in trials:
             means.setdefault(t.subject_id, []).append(
-                float(t.baselines[ChannelKind.Temp].values.mean())
+                float(t.baselines[ChannelKind.Temp].mean())
             )
         subject_means = [np.mean(v) for v in means.values()]
         assert np.std(subject_means) > 0.1

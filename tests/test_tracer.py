@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import small_config
 from physioshap import explain, gbdt
@@ -49,17 +50,19 @@ def test_tracer_targets_resolve_and_record_notes(rng, monkeypatch):
     assert spans["gbdt.grow_tree"].parent >= 0
 
 
-def test_a_searched_fold_trains_only_its_candidates(rng, monkeypatch):
+@pytest.mark.parametrize("search_mode", ["per-fold", "global"])
+def test_a_searched_fold_trains_only_its_candidates(rng, monkeypatch, search_mode):
     # the benchmark counts train spans under random_search as search
     # candidates and the rest as fits: a searched fold keeps the model its
-    # search trained, so it has no other train span
+    # search trained, so it has no other train span, and in global mode
+    # every other fold trains the settled config once
     tracer_module = _load_tracer(monkeypatch)
     tracer = tracer_module.Tracer()
     tracer.install(tracer_module.targets())
     try:
         ds = make_feature_dataset(rng, n_subjects=4, trials=6)
         space = gbdt.SearchSpace(base=small_config())
-        run_loso_explained(ds, "valence", 2, seed=3, space=space)
+        run_loso_explained(ds, "valence", 2, seed=3, space=space, search_mode=search_mode)
     finally:
         tracer.uninstall()
     spans = tracer.spans
@@ -69,9 +72,18 @@ def test_a_searched_fold_trains_only_its_candidates(rng, monkeypatch):
     for s in spans:
         if s.name == "gbdt.random_search":
             assert parent(s) == "evaluate.run_fold"
-    trains = [s for s in spans if s.name == "gbdt.train"]
-    assert all(parent(s) == "gbdt.random_search" for s in trains)
-    per_fold = {i: 0 for i in folds}
-    for s in trains:
-        per_fold[spans[s.parent].parent] += 1
-    assert list(per_fold.values()) == [2, 2, 2, 2]
+    searched = {i: 0 for i in folds}
+    fitted = {i: 0 for i in folds}
+    for s in spans:
+        if s.name == "gbdt.train" and parent(s) == "gbdt.random_search":
+            searched[spans[s.parent].parent] += 1
+        elif s.name == "gbdt.train":
+            assert parent(s) == "evaluate.run_fold"
+            fitted[s.parent] += 1
+    if search_mode == "per-fold":
+        assert list(searched.values()) == [2, 2, 2, 2]
+        assert list(fitted.values()) == [0, 0, 0, 0]
+    else:
+        assert sorted(searched.values()) == [0, 0, 0, 2]
+        assert [fitted[i] for i in folds if not searched[i]] == [1, 1, 1]
+        assert [fitted[i] for i in folds if searched[i]] == [0]
