@@ -77,19 +77,9 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _load_dataset(args, cfg: RunConfig) -> Dataset:
-    if getattr(args, "features", None):
-        return dataio.read_features_csv(args.features)
-    trials = None
-    if getattr(args, "data", None):
-        trials = dataio.ingest_dataset(args.data)
-    elif cfg.data_dir:
-        trials = dataio.ingest_dataset(cfg.data_dir)
-    elif cfg.synthetic is not None:
-        trials = generate_synthetic(cfg.synthetic)
-    if trials is None:
-        raise ConfigError("no input: pass --features/--data or configure data_dir/synthetic")
-    return extract_dataset(trials, cfg.preprocess, cfg.ssa, cfg.entropy, jobs=cfg.jobs)
+def _load_features(args, cfg: RunConfig) -> Dataset:
+    """The table `extract` wrote: --features, else features.csv in the run directory."""
+    return dataio.read_features_csv(args.features or Path(cfg.out_dir) / "features.csv")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -126,7 +116,14 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    source = args.data or cfg.data_dir
+    if source:
+        trials = dataio.ingest_dataset(source)
+    elif cfg.synthetic is not None:
+        trials = generate_synthetic(cfg.synthetic)
+    else:
+        raise ConfigError("extract needs --data, or data_dir or synthetic in the config")
+    dataset = extract_dataset(trials, cfg.preprocess, cfg.ssa, cfg.entropy, jobs=cfg.jobs)
     out = _out_dir(cfg)
     path = out / "features.csv"
     dataio.write_features_csv(dataset, path)
@@ -136,7 +133,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_features(args, cfg)
     _, model = fit(
         dataset.matrix(), dataset.labels(args.target), dataset.groups(), cfg.seed,
         cfg.search_iterations, cfg.search_space, feature_names=FEATURE_NAMES,
@@ -150,7 +147,7 @@ def cmd_train(args) -> int:
 
 def cmd_loso(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_features(args, cfg)
     out = _out_dir(cfg)
     artifacts = []
     for target in cfg.targets:
@@ -179,7 +176,7 @@ def cmd_loso(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_features(args, cfg)
     model = load_model(args.model)
     out = _out_dir(cfg)
     X = dataset.matrix(model.feature_names)
@@ -215,7 +212,7 @@ def _load_loso_run(out: Path, target: str):
 
 def cmd_select(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_features(args, cfg)
     out = _out_dir(cfg)
     for target in cfg.targets:
         run = _load_loso_run(out, target)
@@ -234,7 +231,7 @@ def _interaction_summary(doc) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def cmd_report(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_features(args, cfg)
     out = _out_dir(cfg)
     artifacts = []
     for target in cfg.targets:
@@ -286,21 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="search and train one model on all rows")
     _common_flags(p)
-    p.add_argument("--features", help="features.csv from `extract`")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--features", help="features.csv from `extract` (default: <out>/features.csv)")
     p.add_argument("--target", required=True, choices=RATING_NAMES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation with explanations")
     _common_flags(p)
-    p.add_argument("--features", help="features.csv from `extract`")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--features", help="features.csv from `extract` (default: <out>/features.csv)")
     p.set_defaults(func=cmd_loso)
 
     p = sub.add_parser("explain", help="attribute a saved model over a feature table")
     _common_flags(p)
-    p.add_argument("--features", help="features.csv from `extract`")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--features", help="features.csv from `extract` (default: <out>/features.csv)")
     p.add_argument("--model", required=True, help="model JSON from `train`")
     p.add_argument("--target", required=True, choices=RATING_NAMES)
     p.add_argument("--interactions", action="store_true", help="also compute interaction matrices")
@@ -308,14 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="importance-ordered feature-count sweep")
     _common_flags(p)
-    p.add_argument("--features", help="features.csv from `extract`")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--features", help="features.csv from `extract` (default: <out>/features.csv)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("report", help="emit report.json and plot-data CSVs from run artifacts")
     _common_flags(p)
-    p.add_argument("--features", help="features.csv from `extract`")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--features", help="features.csv from `extract` (default: <out>/features.csv)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -231,7 +231,7 @@ def write_features_csv(dataset: Dataset, path) -> None:
 def read_features_csv(path) -> Dataset:
     path = Path(path)
     if not path.exists():
-        raise IngestionError(f"features file {path} does not exist")
+        raise IngestionError(f"features file {path} does not exist; run `physioshap extract` first")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:

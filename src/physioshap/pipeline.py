@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 from .entropy import COMPONENT_SCHEMA, EntropyConfig, FeatureVector, extract_feature_vector
@@ -84,9 +85,26 @@ def trial_features(
     return extract_feature_vector(components, ent_cfg)
 
 
-def _feature_worker(args) -> tuple[int, FeatureVector]:
-    idx, trial, pre_cfg, ssa_cfg, ent_cfg = args
-    return idx, trial_features(trial, pre_cfg, ssa_cfg, ent_cfg)
+_worker_fn = None  # a pool worker's task function, set once by _adopt
+
+
+def _adopt(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_adopted(task):
+    return _worker_fn(*task)
+
+
+def fan_out(fn, tasks: Sequence[tuple], jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, in task order. With jobs > 1 and two
+    or more tasks they run in min(jobs, len(tasks)) worker processes, each of
+    which receives ``fn`` (say, a partial holding what all tasks share) once."""
+    if jobs == 1 or len(tasks) < 2:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_adopt, initargs=(fn,)) as pool:
+        return list(pool.map(_run_adopted, tasks))
 
 
 def extract_dataset(
@@ -103,21 +121,17 @@ def extract_dataset(
     shortest = min((t.n_samples for t in trials), default=window)
     if window > shortest:
         raise ConfigError(f"ssa.window_len {window} exceeds the shortest trial ({shortest} samples)")
-    tasks = [(i, t, pre_cfg, ssa_cfg, ent_cfg) for i, t in enumerate(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_feature_worker, tasks, chunksize=4))
-    else:
-        results = dict(map(_feature_worker, tasks))
+    featurize = partial(trial_features, pre_cfg=pre_cfg, ssa_cfg=ssa_cfg, ent_cfg=ent_cfg)
+    features = fan_out(featurize, [(t,) for t in trials], jobs)
     rows = [
         DatasetRow(
             row_id=i,
-            subject_id=trials[i].subject_id,
-            trial_id=trials[i].trial_id,
-            features=results[i],
-            ratings=dict(trials[i].ratings),
+            subject_id=t.subject_id,
+            trial_id=t.trial_id,
+            features=fv,
+            ratings=dict(t.ratings),
         )
-        for i in range(len(trials))
+        for i, (t, fv) in enumerate(zip(trials, features))
     ]
     return Dataset(rows)
 
@@ -142,15 +156,6 @@ class ExplainedRun:
     predictions: tuple[PredictionRow, ...]
 
 
-#: a pool worker's copy of the plan, received once through _adopt_plan
-_WORKER_PLAN: FoldPlan | None = None
-
-
-def _adopt_plan(plan: FoldPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
 def _explain_fold(plan: FoldPlan, index: int, search_budget: int, space, config):
     """Run one fold, then explain and score its held-out rows with its model."""
     result, model, stages = run_fold(plan, index, search_budget, space=space, fixed_config=config)
@@ -158,10 +163,6 @@ def _explain_fold(plan: FoldPlan, index: int, search_budget: int, space, config)
         return result, stages, None
     X_test = plan.X[plan.folds[index].test_idx]
     return result, stages, (shap_values_batch(model, X_test), sigmoid(predict_margin(model, X_test)))
-
-
-def _explain_fold_in_worker(task):
-    return _explain_fold(_WORKER_PLAN, *task)
 
 
 def run_loso_explained(
@@ -202,11 +203,7 @@ def run_loso_explained(
         else:
             raise DegenerateLabelsError(result.reason)
     tasks = [(i, search_budget, space, fixed_config) for i in range(len(plan.folds)) if i != settled]
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_adopt_plan, initargs=(plan,)) as pool:
-            outcomes = list(pool.map(_explain_fold_in_worker, tasks))
-    else:
-        outcomes = [_explain_fold(plan, *task) for task in tasks]
+    outcomes = fan_out(partial(_explain_fold, plan), tasks, jobs)
     if settled is not None:
         outcomes.insert(settled, outcome)
     results = []
@@ -299,13 +296,28 @@ class RunConfig:
             raise ConfigError("max_interaction_samples must be >= 1")
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has the JSON type of its field's default: an
+    int takes no float, and no number a bool. Fields without a number, a
+    string or a numeric range as default are checked where they are built."""
+    if isinstance(default, tuple) and all(isinstance(d, (int, float)) for d in default):
+        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(map(_fits, value, default))
+    if isinstance(default, (int, float, str)):
+        kinds = (int, float) if isinstance(default, float) else type(default)
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    return True
+
+
 def _dataclass_from_mapping(cls, data: Mapping, path: str):
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: expected an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = [k for k in data if k not in allowed]
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(cls)}
+    unknown = [k for k in data if k not in defaults]
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+    for key, value in data.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{path}.{key}: {value!r} does not have the type of the default {defaults[key]!r}")
     return data
 
 
@@ -332,12 +344,9 @@ def run_config_from_dict(doc: Mapping) -> RunConfig:
             data["entropy"] = EntropyConfig(**sub)
         if "search_space" in data:
             sub = dict(_dataclass_from_mapping(SearchSpace, data["search_space"], "config.search_space"))
-            for key in ("learning_rate", "feature_fraction"):
+            for key in ("learning_rate", "feature_fraction", "num_leaves", "min_data_in_leaf", "max_depth"):
                 if key in sub:
-                    sub[key] = (float(sub[key][0]), float(sub[key][1]))
-            for key in ("num_leaves", "min_data_in_leaf", "max_depth"):
-                if key in sub:
-                    sub[key] = (int(sub[key][0]), int(sub[key][1]))
+                    sub[key] = tuple(sub[key])
             if "base" in sub:
                 base = _dataclass_from_mapping(TrainConfig, sub["base"], "config.search_space.base")
                 sub["base"] = TrainConfig(**base)

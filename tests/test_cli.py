@@ -59,6 +59,13 @@ SYNTH_DIGESTS = {
 }
 
 
+#: the commands after extract, with the flags each requires
+LATER_COMMANDS = [
+    ("loso",), ("select",), ("report",), ("train", "--target", "valence"),
+    ("explain", "--model", "model.json", "--target", "valence"),
+]
+
+
 class TestSynthAndIngest:
     def test_synth_then_check(self, workdir):
         tmp, cfg = workdir
@@ -264,6 +271,27 @@ class TestLosoPipeline:
         save_model(expected, tmp / "expected.json")
         assert (out / "model_valence.json").read_bytes() == (tmp / "expected.json").read_bytes()
 
+    @pytest.mark.parametrize("command", LATER_COMMANDS, ids=lambda command: command[0])
+    def test_missing_features_table_is_bad_input(self, workdir, capsys, command):
+        # without --features a later command reads <out>/features.csv, which
+        # only `extract` writes
+        tmp, cfg = workdir
+        out = tmp / "fresh"
+        assert run(*command, "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(out / "features.csv") in err and "physioshap extract" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", LATER_COMMANDS, ids=lambda command: command[0])
+    def test_only_extract_and_ingest_check_read_trials(self, workdir, capsys, command):
+        tmp, _ = workdir
+        for reader in ("extract", "ingest-check"):
+            assert cli.build_parser().parse_args([reader, "--data", str(tmp)]).data == str(tmp)
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--data", tmp)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --data" in capsys.readouterr().err
+
     def test_report_without_loso_artifacts(self, workdir, rng):
         tmp, cfg = workdir
         ds = make_feature_dataset(rng, n_subjects=3, trials=4)
@@ -312,6 +340,33 @@ class TestBadConfig:
         assert calls == []
         assert not (tmp_path / "o" / "features.csv").exists()
         assert "ssa.window_len 5000 exceeds the shortest trial (128 samples)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("", "jobs", 1.5), ("", "jobs", True), ("", "seed", "x"), ("", "search_iterations", 2.5),
+        ("", "out_dir", 5), ("synthetic", "n_subjects", 2.5), ("entropy", "m", 2.5), ("entropy", "r", True),
+        ("search_space.base", "seed", "x"), ("search_space", "num_leaves", [5.5, 20]),
+        ("search_space", "num_leaves", [5, 20, 30]),
+    ])
+    def test_value_of_the_wrong_type_is_bad_input(
+        self, workdir, tmp_path, monkeypatch, capsys, section, key, value
+    ):
+        _, cfg = workdir
+        doc = json.loads(cfg.read_text())
+        doc["synthetic"].update(n_subjects=2, trials_per_subject=2)
+        part = doc
+        for name in filter(None, section.split(".")):
+            part = part.setdefault(name, {})
+        part[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        calls = []
+        original = pipeline.preprocess_trial
+        monkeypatch.setattr(pipeline, "preprocess_trial", lambda *a: calls.append(a) or original(*a))
+        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert ".".join(filter(None, ("config", section, key))) + ":" in err and "Traceback" not in err
+        assert calls == []
+        assert not (tmp_path / "o" / "features.csv").exists()
 
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

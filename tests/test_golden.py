@@ -18,10 +18,12 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from physioshap import cli, pipeline
 from physioshap.cli import main
 from physioshap.dataio import read_features_csv
 from physioshap.evaluate import RunAudit
@@ -58,8 +60,10 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
-def golden_run(tmp: Path, jobs: int) -> dict[str, str]:
-    """Digests of every file the chain writes under ``tmp``."""
+def golden_run(tmp: Path, jobs: int, name_features: bool = True) -> dict[str, str]:
+    """Digests of every file the chain writes under ``tmp``. Without
+    ``name_features`` the commands after extract find its features.csv in
+    the run directory."""
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(CONFIG))
     global_cfg = tmp / "config_global.json"
@@ -67,18 +71,19 @@ def golden_run(tmp: Path, jobs: int) -> dict[str, str]:
     out = tmp / "out"
     flags = ("--config", cfg, "--out", out, "--jobs", jobs)
     _cli("extract", *flags)
-    features = out / "features.csv"
-    _cli("loso", *flags, "--features", features)
-    _cli("select", *flags, "--features", features)
-    _cli("train", *flags, "--features", features, "--target", "valence")
+    features = ("--features", out / "features.csv")
+    named = features if name_features else ()
+    _cli("loso", *flags, *named)
+    _cli("select", *flags, *named)
+    _cli("train", *flags, *named, "--target", "valence")
     _cli(
-        "explain", *flags, "--features", features,
+        "explain", *flags, *named,
         "--model", out / "model_valence.json", "--target", "valence", "--interactions",
     )
-    _cli("report", *flags, "--features", features)
+    _cli("report", *flags, *named)
     gflags = ("--config", global_cfg, "--out", tmp / "out_global", "--jobs", jobs)
-    _cli("loso", *gflags, "--features", features)
-    _cli("select", *gflags, "--features", features)
+    _cli("loso", *gflags, *features)
+    _cli("select", *gflags, *features)
     return {
         name: digest for name, digest in _digests(tmp).items() if not name.startswith("config")
     }
@@ -91,6 +96,19 @@ def test_golden_digests(tmp_path, jobs):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"outputs differ from the golden run: {changed}"
+
+
+def test_later_commands_read_the_run_directory_without_extracting(tmp_path, monkeypatch):
+    # every call is extract's: one extract_dataset and one preprocess_trial
+    # for each of the 24 trials
+    calls = Counter()
+    for module, name in ((pipeline, "preprocess_trial"), (pipeline, "extract_dataset"), (cli, "extract_dataset")):
+        original = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _k=key, **kw: calls.update([_k]) or _f(*a, **kw))
+    got = golden_run(tmp_path, 1, name_features=False)
+    assert calls == {"physioshap.pipeline.preprocess_trial": 24, "physioshap.cli.extract_dataset": 1}
+    assert got == json.loads(HASHES.read_text())
 
 
 def test_global_liking_searches_past_the_first_fold(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from physioshap.entropy import FEATURE_NAMES
 from conftest import small_config
 from physioshap.errors import ConfigError, SchemaMismatchError
+from physioshap import pipeline
 from physioshap.gbdt import SearchSpace
 from physioshap.pipeline import (
     RunConfig,
@@ -72,6 +73,21 @@ class TestExtractDataset:
         ds = extract_dataset(trials)
         fv = trial_features(trials[0])
         np.testing.assert_array_equal(ds.rows[0].features.as_array(), fv.as_array())
+
+
+class TestFanOut:
+    def test_one_job_or_one_task_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        assert pipeline.fan_out(divmod, [(7, 2), (9, 4), (1, 3)], 1) == [(3, 1), (2, 1), (0, 1)]
+        assert pipeline.fan_out(divmod, [(7, 2)], 4) == [(3, 1)]
+        assert pipeline.fan_out(divmod, [], 4) == []
+
+    def test_pool_keeps_task_order(self):
+        tasks = [(n, 3) for n in range(10, 0, -1)]
+        assert pipeline.fan_out(divmod, tasks, 2) == [divmod(*t) for t in tasks]
 
 
 class TestParallelFolds:

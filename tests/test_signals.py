@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,18 @@ class TestTrial:
                 assert values.dtype == np.float64
                 with pytest.raises(ValueError):
                     values[0] = 5.0
+
+    def test_unpickled_trial_is_checked_and_read_only(self):
+        trial = preprocess_trial(make_trial(rate=64.0))
+        copy = pickle.loads(pickle.dumps(trial))
+        assert (copy.subject_id, copy.trial_id, copy.sample_rate_hz) == (1, 1, 64.0)
+        assert dict(copy.ratings) == dict(trial.ratings)
+        for attr in ("channels", "baselines", "extras"):
+            original, copied = getattr(trial, attr), getattr(copy, attr)
+            assert copied.keys() == original.keys() and copied
+            for key, values in copied.items():
+                np.testing.assert_array_equal(values, original[key])
+                assert values.flags.writeable is False
 
     def test_requires_all_channels(self):
         trial = make_trial()
@@ -194,6 +209,33 @@ class TestScrSplit:
         _, tonic = scr_split(ramp + spikes, 2.0, 128.0)
         corr = np.corrcoef(tonic, ramp)[0, 1]
         assert corr > 0.99
+
+    @pytest.mark.parametrize("n, window_s", [(7680, 4.0), (3001, 4.0), (1000, 3.0), (600, 4.0078125), (515, 4.0)])
+    def test_tonic_equals_one_median_over_every_window(self, rng, n, window_s):
+        # the direct form: one np.median over all interior windows, then
+        # the shrinking symmetric windows at the edges; the windows are 512
+        # or 513 samples (even and odd), and n - w + 1 spans several blocks
+        x = rng.normal(size=n).cumsum()
+        w = int(round(window_s * 128.0))
+        left, right = w // 2, (w - 1) // 2
+        expected = np.empty(n)
+        expected[left : n - right] = np.median(np.lib.stride_tricks.sliding_window_view(x, w), axis=1)
+        for i in (*range(left), *range(n - right, n)):
+            r = min(i, n - 1 - i)
+            expected[i] = np.median(x[i - r : i + r + 1])
+        np.testing.assert_array_equal(scr_split(x, window_s, 128.0)[1], expected)
+
+    def test_memory_stays_bounded_at_paper_length(self, rng):
+        # one median over every window of a 60 s channel would copy a
+        # 7169 x 512 float64 matrix, 28 MiB
+        x = rng.normal(size=7680)
+        tracemalloc.start()
+        try:
+            scr_split(x, 4.0, 128.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(InvalidArgumentError):
