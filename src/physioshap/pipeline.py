@@ -101,7 +101,7 @@ def fan_out(fn, tasks: Sequence[tuple], jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, in task order. With jobs > 1 and two
     or more tasks they run in min(jobs, len(tasks)) worker processes, each of
     which receives ``fn`` (say, a partial holding what all tasks share) once."""
-    if jobs == 1 or len(tasks) < 2:
+    if jobs <= 1 or len(tasks) < 2:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_adopt, initargs=(fn,)) as pool:
         return list(pool.map(_run_adopted, tasks))

@@ -84,6 +84,8 @@ class TestFanOut:
         assert pipeline.fan_out(divmod, [(7, 2), (9, 4), (1, 3)], 1) == [(3, 1), (2, 1), (0, 1)]
         assert pipeline.fan_out(divmod, [(7, 2)], 4) == [(3, 1)]
         assert pipeline.fan_out(divmod, [], 4) == []
+        for jobs in (0, -1):
+            assert pipeline.fan_out(divmod, [(7, 2), (9, 4)], jobs) == [(3, 1), (2, 1)]
 
     def test_pool_keeps_task_order(self):
         tasks = [(n, 3) for n in range(10, 0, -1)]
