@@ -511,6 +511,21 @@ class SearchSpace:
     max_depth: tuple[int, int] = (5, 20)
     base: TrainConfig = TrainConfig()
 
+    def __post_init__(self):
+        ints = {"num_leaves": self.num_leaves, "min_data_in_leaf": self.min_data_in_leaf, "max_depth": self.max_depth}
+        ranges = {"learning_rate": self.learning_rate, "feature_fraction": self.feature_fraction, **ints}
+        for name, (lo, hi) in ranges.items():
+            if not lo <= hi:
+                raise InvalidArgumentError(f"{name} range [{lo}, {hi}] needs lo <= hi")
+        if not self.learning_rate[0] > 0:
+            raise InvalidArgumentError("learning_rate range needs lo > 0")
+        lo, hi = self.feature_fraction
+        if not (0 <= lo and 0 < hi <= 1):
+            raise InvalidArgumentError("feature_fraction range needs 0 <= lo and 0 < hi <= 1")
+        for name, (lo, _) in ints.items():
+            if lo < 1:
+                raise InvalidArgumentError(f"{name} range needs lo >= 1")
+
     def sample(self, rng: np.random.Generator, seed: int) -> TrainConfig:
         ff = 0.0
         while ff <= 0.0:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, is_dataclass, replace
+from enum import Enum
 from functools import partial
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .entropy import COMPONENT_SCHEMA, EntropyConfig, FeatureVector, extract_feature_vector
 from .errors import ConfigError, DegenerateLabelsError, SchemaMismatchError
@@ -115,12 +118,18 @@ def extract_dataset(
     jobs: int = 1,
 ) -> Dataset:
     """Run the full feature pipeline over many trials (optionally in a
-    process pool; results are order-stable either way). A ``window_len``
-    longer than the shortest trial fails before any trial is processed."""
+    process pool; results are order-stable either way). A ``window_len`` or
+    smoothing span longer than the shortest trial, or an entropy ``m`` that
+    leaves it no (m+1)-template pair, fails before any trial is processed."""
     window = (ssa_cfg or SsaConfig()).window_len
-    shortest = min((t.n_samples for t in trials), default=window)
-    if window > shortest:
-        raise ConfigError(f"ssa.window_len {window} exceeds the shortest trial ({shortest} samples)")
+    span = max((pre_cfg or PreprocessConfig()).smooth_span.values())
+    m = (ent_cfg or EntropyConfig()).m
+    shortest = min((t.n_samples for t in trials), default=max(window, span, m + 2))
+    for name, length in (("ssa.window_len", window), ("preprocess.smooth_span", span)):
+        if length > shortest:
+            raise ConfigError(f"{name} {length} exceeds the shortest trial ({shortest} samples)")
+    if m + 1 >= shortest:
+        raise ConfigError(f"entropy.m {m} needs trials longer than m + 1 samples; the shortest has {shortest}")
     featurize = partial(trial_features, pre_cfg=pre_cfg, ssa_cfg=ssa_cfg, ent_cfg=ent_cfg)
     features = fan_out(featurize, [(t,) for t in trials], jobs)
     rows = [
@@ -287,6 +296,8 @@ class RunConfig:
         bad = [t for t in self.targets if t not in RATING_NAMES]
         if bad or not self.targets:
             raise ConfigError(f"targets must be a non-empty subset of {'/'.join(RATING_NAMES)}: {bad}")
+        if len(set(self.targets)) < len(self.targets):
+            raise ConfigError(f"targets must be distinct: {list(self.targets)}")
         widest = max(count for _, _, count in COMPONENT_SCHEMA)
         if self.ssa.window_len < widest:
             raise ConfigError(f"ssa.window_len must be at least {widest}, the most components a channel keeps")
@@ -296,68 +307,50 @@ class RunConfig:
             raise ConfigError("max_interaction_samples must be >= 1")
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value has the JSON type of its field's default: an
-    int takes no float, and no number a bool. Fields without a number, a
-    string or a numeric range as default are checked where they are built."""
-    if isinstance(default, tuple) and all(isinstance(d, (int, float)) for d in default):
-        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(map(_fits, value, default))
-    if isinstance(default, (int, float, str)):
-        kinds = (int, float) if isinstance(default, float) else type(default)
-        return isinstance(value, kinds) and not isinstance(value, bool)
-    return True
-
-
-def _dataclass_from_mapping(cls, data: Mapping, path: str):
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(cls)}
-    unknown = [k for k in data if k not in defaults]
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    for key, value in data.items():
-        if not _fits(value, defaults[key]):
-            raise ConfigError(f"{path}.{key}: {value!r} does not have the type of the default {defaults[key]!r}")
-    return data
+def _read(hint, value, path: str):
+    """Read a parsed JSON value as its field's annotation ``hint``; every
+    error, a dataclass's own checks included, is a ConfigError naming ``path``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: expected an object")
+        hints = get_type_hints(hint)
+        unknown = [k for k in value if k not in hints]
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {unknown}")
+        kwargs = {k: _read(hints[k], v, f"{path}.{k}") for k, v in value.items()}
+        try:
+            return hint(**kwargs)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, path)
+    if origin is Mapping:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: {value!r} is not of type Mapping")
+        return {_read(args[0], k, f"{path}.{k}"): _read(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: {value!r} is not of type {origin.__name__}")
+        kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+        if len(value) != len(kinds):
+            raise ConfigError(f"{path}: {value!r} has {len(value)} items, not {len(kinds)}")
+        return origin(_read(k, v, path) for k, v in zip(kinds, value))
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise ConfigError(f"{path}: {value!r} is not a {hint.__name__} value") from None
+    # a float field takes an int; an int field no float; no number a bool
+    if not isinstance(value, (int, float) if hint is float else hint) or isinstance(value, bool):
+        raise ConfigError(f"{path}: {value!r} is not of type {hint.__name__}")
+    return value
 
 
 def run_config_from_dict(doc: Mapping) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document, rejecting unknown keys
-    everywhere and validating all sub-configs before any work starts."""
-    data = dict(_dataclass_from_mapping(RunConfig, doc, "config"))
-    try:
-        if "synthetic" in data and data["synthetic"] is not None:
-            sub = _dataclass_from_mapping(SyntheticSpec, data["synthetic"], "config.synthetic")
-            data["synthetic"] = SyntheticSpec(**sub)
-        if "preprocess" in data:
-            sub = dict(_dataclass_from_mapping(PreprocessConfig, data["preprocess"], "config.preprocess"))
-            if "smooth_span" in sub:
-                sub["smooth_span"] = {ChannelKind(k): int(v) for k, v in sub["smooth_span"].items()}
-            if "detrend_exempt" in sub:
-                sub["detrend_exempt"] = frozenset(ChannelKind(k) for k in sub["detrend_exempt"])
-            data["preprocess"] = PreprocessConfig(**sub)
-        if "ssa" in data:
-            sub = _dataclass_from_mapping(SsaConfig, data["ssa"], "config.ssa")
-            data["ssa"] = SsaConfig(**sub)
-        if "entropy" in data:
-            sub = _dataclass_from_mapping(EntropyConfig, data["entropy"], "config.entropy")
-            data["entropy"] = EntropyConfig(**sub)
-        if "search_space" in data:
-            sub = dict(_dataclass_from_mapping(SearchSpace, data["search_space"], "config.search_space"))
-            for key in ("learning_rate", "feature_fraction", "num_leaves", "min_data_in_leaf", "max_depth"):
-                if key in sub:
-                    sub[key] = tuple(sub[key])
-            if "base" in sub:
-                base = _dataclass_from_mapping(TrainConfig, sub["base"], "config.search_space.base")
-                sub["base"] = TrainConfig(**base)
-            data["search_space"] = SearchSpace(**sub)
-        if "targets" in data:
-            data["targets"] = tuple(data["targets"])
-        return RunConfig(**data)
-    except (ValueError, TypeError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    """Build a RunConfig from a parsed JSON document, reading every value
+    against its field's annotation before any work starts."""
+    return _read(RunConfig, doc, "config")
 
 
 def apply_paper_mode(cfg: RunConfig) -> RunConfig:

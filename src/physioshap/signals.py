@@ -129,7 +129,7 @@ class PreprocessConfig:
     """
 
     smooth_span: Mapping[ChannelKind, int] = field(default_factory=default_smooth_spans)
-    detrend_exempt: frozenset = frozenset({ChannelKind.Temp, ChannelKind.SCR})
+    detrend_exempt: frozenset[ChannelKind] = frozenset({ChannelKind.Temp, ChannelKind.SCR})
     scr_tonic_window_s: float = 4.0
 
     def __post_init__(self):

@@ -327,25 +327,36 @@ class TestBadConfig:
         assert not (tmp_path / "o" / "features.csv").exists()
 
     def test_window_longer_than_a_trial_fails_before_work(self, workdir, tmp_path, monkeypatch, capsys):
+        # 1 s trials have 128 samples; an (m+1)-template pair needs m + 2 of them
+        spans = {"SCR": 5000, "Temp": 64, "hEOG": 5, "vEOG": 5, "zEMG": 5, "tEMG": 5, "PPG": 5, "Resp": 5}
+        cases = [
+            ("ssa", {"window_len": 5000}, "ssa.window_len 5000 exceeds the shortest trial (128 samples)"),
+            ("preprocess", {"smooth_span": spans}, "preprocess.smooth_span 5000 exceeds the shortest trial (128 samples)"),
+            ("entropy", {"m": 200}, "entropy.m 200 needs trials longer than m + 1 samples; the shortest has 128"),
+            ("entropy", {"m": 127}, "entropy.m 127 needs trials longer than m + 1 samples; the shortest has 128"),
+        ]
         _, cfg = workdir
-        doc = json.loads(cfg.read_text())
-        doc["synthetic"].update(n_subjects=2, trials_per_subject=2)
-        doc["ssa"] = {"window_len": 5000}
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
         calls = []
         original = pipeline.preprocess_trial
         monkeypatch.setattr(pipeline, "preprocess_trial", lambda *a: calls.append(a) or original(*a))
-        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
-        assert calls == []
-        assert not (tmp_path / "o" / "features.csv").exists()
-        assert "ssa.window_len 5000 exceeds the shortest trial (128 samples)" in capsys.readouterr().err
+        for section, value, message in cases:
+            doc = json.loads(cfg.read_text())
+            doc["synthetic"].update(n_subjects=2, trials_per_subject=2)
+            doc[section] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+            assert calls == []
+            assert not (tmp_path / "o" / "features.csv").exists()
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("", "jobs", 1.5), ("", "jobs", True), ("", "seed", "x"), ("", "search_iterations", 2.5),
         ("", "out_dir", 5), ("synthetic", "n_subjects", 2.5), ("entropy", "m", 2.5), ("entropy", "r", True),
         ("search_space.base", "seed", "x"), ("search_space", "num_leaves", [5.5, 20]),
-        ("search_space", "num_leaves", [5, 20, 30]),
+        ("search_space", "num_leaves", [5, 20, 30]), ("", "data_dir", 5),
+        ("preprocess.smooth_span", "SCR", 5.7), ("preprocess.smooth_span", "SCR", True),
+        ("preprocess", "smooth_span", [5]), ("preprocess", "detrend_exempt", "Temp"),
     ])
     def test_value_of_the_wrong_type_is_bad_input(
         self, workdir, tmp_path, monkeypatch, capsys, section, key, value

@@ -1,3 +1,8 @@
+import json
+import re
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
+
 import numpy as np
 import pytest
 
@@ -130,6 +135,22 @@ class TestParallelFolds:
             assert a.base_value == b.base_value
 
 
+def _to_json(value):
+    """The JSON form of a config value: dataclasses as objects, enums by value,
+    tuples and frozensets as lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {_to_json(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(map(_to_json, value))
+    if isinstance(value, tuple):
+        return list(map(_to_json, value))
+    return value
+
+
 class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -158,6 +179,19 @@ class TestRunConfig:
         assert cfg.preprocess.smooth_span[ChannelKind.SCR] == 64
         assert cfg.search_space.learning_rate == (0.05, 0.3)
         assert cfg.search_iterations == 7
+        # a JSON dump of a full RunConfig, every field of every section, reads back equal
+        full = replace(RunConfig(), data_dir="data", synthetic=SyntheticSpec(n_subjects=4))
+        assert run_config_from_dict(json.loads(json.dumps(_to_json(full)))) == full
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"search_space": {"feature_fraction": [0.0, 0.0]}}, "config.search_space: feature_fraction"),
+        ({"search_space": {"num_leaves": [20, 5]}}, "config.search_space: num_leaves range [20, 5] needs lo <= hi"),
+        ({"search_space": {"min_data_in_leaf": [0, 5]}}, "config.search_space: min_data_in_leaf"),
+        ({"targets": ["valence", "valence"]}, "config: targets must be distinct"),
+    ], ids=["feature_fraction", "num_leaves", "min_data_in_leaf", "targets"])
+    def test_infeasible_search_range_or_repeated_target_is_refused(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_config_from_dict(doc)
 
     def test_invalid_values_surface_as_config_error(self):
         with pytest.raises(ConfigError):
