@@ -9,6 +9,15 @@ exactly; thresholds sit at midpoints. Gradient-based one-side sampling
 keeps all large-gradient rows and up-weights a random sample of the rest,
 so weighted statistics stay unbiased.
 
+Sorting happens once per fit (exact greedy split finding on presorted
+columns, as in SLIQ and Chen & Guestrin 2016, §3.1): ``train`` takes a
+stable argsort of every column, each round keeps the sampled rows of the
+columns its tree draws, and every split partitions its leaf's sorted
+columns between the children. Tied rows stay in ascending row order
+throughout, so each gradient prefix sum adds the same numbers in the same
+order as a fresh stable sort of the leaf, and the models are the ones
+per-leaf sorting grows, bit for bit.
+
 A tree is a ``FlatTree``, six node arrays that ``grow_tree`` fills as it
 splits and that prediction and attribution read; ``tree_to_dict`` and
 ``tree_from_dict`` convert it to and from the nested JSON form of saved
@@ -166,49 +175,67 @@ def goss_sample(
     return idx[order2], weights[order2]
 
 
+class _SampleOrder:
+    """The ``order`` that ``grow_tree`` takes for one round's sampled rows,
+    (features, rows), worked out only for the features the tree draws.
+
+    ``ranks`` holds each row's place in its column's stable sort over the
+    whole fit. Ranks are distinct, so ordering the sampled rows by rank
+    keeps tied values in ascending row order; on ranks of 16 bits or fewer
+    numpy's stable argsort is a radix sort, one linear pass per column.
+    """
+
+    def __init__(self, ranks: np.ndarray, rows: np.ndarray):
+        self.ranks = ranks
+        self.rows = rows
+        self.shape = (ranks.shape[0], rows.size)
+
+    def __getitem__(self, feats: np.ndarray) -> np.ndarray:
+        return np.argsort(self.ranks[feats][:, self.rows], axis=1, kind="stable")
+
+
 def _best_split(
-    X: np.ndarray,
+    xs: np.ndarray,
+    order: np.ndarray,
     wg: np.ndarray,
     wh: np.ndarray,
-    rows: np.ndarray,
-    feats: np.ndarray,
     min_data: int,
     lam: float,
 ):
-    """Best exact split of one leaf over the given feature subset.
+    """Best exact split of one leaf from its presorted columns.
 
-    Returns (gain, feature, threshold) or None when no valid positive-gain
-    split exists. Gain ties break toward the lowest feature index, then the
-    lowest threshold.
+    ``order`` (searched features, leaf rows) lists the leaf's rows by
+    ascending value in each column, tied rows in ascending row index, and
+    ``xs`` holds the values in that order; nothing here sorts. Gains are
+    computed only for splits after sorted position k in
+    ``[min_data - 1, n - min_data)``, the ones that leave both children
+    ``min_data`` rows. Returns (gain, column of ``order``, threshold) or None
+    when no valid positive-gain split exists. Gain ties break toward the
+    lowest column, then the lowest threshold.
     """
-    n = rows.size
+    n = order.shape[1]
     if n < 2 * min_data:
         return None
-    sub = X[np.ix_(rows, feats)]
-    order = np.argsort(sub, axis=0, kind="stable")
-    xs = np.take_along_axis(sub, order, axis=0)
-    gs = np.cumsum(wg[rows][order], axis=0)
-    hs = np.cumsum(wh[rows][order], axis=0)
-    g_tot = gs[-1]
-    h_tot = hs[-1]
-    gl, hl = gs[:-1], hs[:-1]
+    gs = np.cumsum(wg[order], axis=1)
+    hs = np.cumsum(wh[order], axis=1)
+    g_tot = gs[:, -1:]
+    h_tot = hs[:, -1:]
+    lo, hi = min_data - 1, n - min_data
+    gl, hl = gs[:, lo:hi], hs[:, lo:hi]
     gr = g_tot - gl
     hr = h_tot - hl
     parent = g_tot**2 / (h_tot + lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent
-    valid = xs[1:] > xs[:-1]
-    pos = np.arange(1, n)  # left child size for a split after sorted row k
-    valid &= ((pos >= min_data) & (n - pos >= min_data))[:, None]
-    gain = np.where(valid, gain, -np.inf)
-    col_best = np.argmax(gain, axis=0)  # first occurrence = lowest threshold
-    col_gain = gain[col_best, np.arange(len(feats))]
-    c = int(np.argmax(col_gain))  # first occurrence = lowest feature index
+    gain = np.where(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi], gain, -np.inf)  # no split between ties
+    col_best = np.argmax(gain, axis=1)  # first occurrence = lowest threshold
+    col_gain = gain[np.arange(order.shape[0]), col_best]
+    c = int(np.argmax(col_gain))  # first occurrence = lowest column
     if not (col_gain[c] > 0):
         return None
-    k = int(col_best[c])
-    threshold = 0.5 * (xs[k, c] + xs[k + 1, c])
-    return float(col_gain[c]), int(feats[c]), float(threshold)
+    k = lo + int(col_best[c])
+    threshold = 0.5 * (xs[c, k] + xs[c, k + 1])
+    return float(col_gain[c]), c, float(threshold)
 
 
 def grow_tree(
@@ -218,8 +245,18 @@ def grow_tree(
     weights: np.ndarray,
     cfg: TrainConfig,
     seed: int | np.random.Generator,
+    order: np.ndarray | _SampleOrder | None = None,
 ) -> FlatTree:
     """Grow one regression tree leaf-wise on weighted gradient statistics.
+
+    ``order`` (features, rows), when given, is every column's stable argsort:
+    the row indices by ascending value, tied rows in ascending index. Only
+    ``order[feats]`` is read, for the features the tree draws. Without it
+    the root sorts its columns once. No leaf sorts: a split partitions its
+    leaf's order, and the sorted values that go with it, between the
+    children with the row mask. That keeps each child's columns sorted and
+    its tied rows in ascending index, so every gradient sum adds the same
+    numbers in the same order as a fresh stable sort of the child would.
 
     Nodes are numbered in creation order; a node's cover is the sum of the
     weights of its rows.
@@ -235,15 +272,24 @@ def grow_tree(
     if np.any(weights < 0):
         raise InvalidArgumentError("weights must be non-negative")
     n, n_feat = X.shape
+    if order is not None and np.shape(order) != (n_feat, n):
+        raise InvalidArgumentError(f"order must have shape (features, rows) = {(n_feat, n)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if cfg.feature_fraction < 1.0:
         k = max(1, math.ceil(cfg.feature_fraction * n_feat))
         feats = np.sort(rng.choice(n_feat, size=k, replace=False))
     else:
         feats = np.arange(n_feat)
+    columns = X.T[feats]
+    if order is None:
+        root_order = np.argsort(columns, axis=1, kind="stable")
+    else:
+        root_order = order[feats]
     wg = weights * grad
     wh = weights * hess
     lam = cfg.lambda_l2
+    min_data = cfg.min_data_in_leaf
+    goes_left = np.empty(n, dtype=bool)  # scratch: side of each row of the leaf being split
 
     # (left, right, feature, threshold, value, cover) of each node
     nodes: list[tuple] = []
@@ -254,34 +300,39 @@ def grow_tree(
         return len(nodes) - 1
 
     root = add_leaf(np.arange(n))
-    # open leaves: node, rows, depth, best candidate split
-    candidates: list[tuple[float, int, int, np.ndarray, int, int, float]] = []
+    # open leaves: gain, creation rank, node, rows, depth, column of feats, threshold, order, values
+    candidates: list[tuple] = []
     seq = 0
 
-    def push(node: int, rows: np.ndarray, depth: int):
+    def push(node: int, rows: np.ndarray, depth: int, leaf_order: np.ndarray, xs: np.ndarray):
         nonlocal seq
-        if depth >= cfg.max_depth:
-            return
-        best = _best_split(X, wg, wh, rows, feats, cfg.min_data_in_leaf, lam)
+        best = _best_split(xs, leaf_order, wg, wh, min_data, lam)
         if best is None:
             return
-        gain, feat, thr = best
-        candidates.append((gain, -seq, node, rows, depth, feat, thr))
+        gain, c, thr = best
+        candidates.append((gain, -seq, node, rows, depth, c, thr, leaf_order, xs))
         seq += 1
 
-    push(root, np.arange(n), 0)
+    push(root, np.arange(n), 0, root_order, np.take_along_axis(columns, root_order, axis=1))
     leaves = 1
     while leaves < cfg.num_leaves and candidates:
         # highest gain; ties go to the earliest-created candidate
         i = max(range(len(candidates)), key=lambda j: (candidates[j][0], candidates[j][1]))
-        gain, _, node, rows, depth, feat, thr = candidates.pop(i)
+        gain, _, node, rows, depth, c, thr, leaf_order, xs = candidates.pop(i)
+        feat = int(feats[c])
         mask = X[rows, feat] <= thr
         left_rows, right_rows = rows[mask], rows[~mask]
         left, right = add_leaf(left_rows), add_leaf(right_rows)
         nodes[node] = (left, right, feat, thr, 0.0, nodes[node][5])
         leaves += 1
-        push(left, left_rows, depth + 1)
-        push(right, right_rows, depth + 1)
+        if leaves == cfg.num_leaves or depth + 1 >= cfg.max_depth:
+            continue  # neither child may split, so neither needs an order
+        goes_left[rows] = mask
+        side = goes_left[leaf_order]
+        for child, child_rows, kept in ((left, left_rows, side), (right, right_rows, ~side)):
+            if child_rows.size >= 2 * min_data:
+                shape = (feats.size, child_rows.size)
+                push(child, child_rows, depth + 1, leaf_order[kept].reshape(shape), xs[kept].reshape(shape))
     return FlatTree(*zip(*nodes))
 
 
@@ -349,6 +400,9 @@ def train(
             raise InvalidArgumentError("validation features must match training width")
         v_margins = np.full(yv.size, base)
 
+    # the presort: every row's place in its column's stable argsort, (features, rows)
+    ranks = np.empty((X.shape[1], y.size), dtype=np.min_scalar_type(y.size))
+    np.put_along_axis(ranks, np.argsort(X, axis=0, kind="stable").T, np.arange(y.size), axis=1)
     master = np.random.default_rng(cfg.seed)
     trees: list[FlatTree] = []
     # round 0 (prior-only model) competes in the argmin: rounds that never
@@ -361,7 +415,7 @@ def train(
         hess = p * (1.0 - p)
         round_rng = np.random.default_rng(master.integers(2**63))
         idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
-        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng)
+        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng, _SampleOrder(ranks, idx))
         trees.append(tree)
         margins = margins + cfg.learning_rate * tree.predict(X)
         if valid is not None:

@@ -11,6 +11,7 @@ from physioshap.gbdt import (
     GbdtModel,
     SearchSpace,
     TrainConfig,
+    _best_split,
     binary_logloss,
     fit,
     goss_sample,
@@ -143,6 +144,68 @@ class TestGrowTree:
         assert internal.any()
         children = tree.cover[tree.children_left[internal]] + tree.cover[tree.children_right[internal]]
         np.testing.assert_allclose(tree.cover[internal], children, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("feature_fraction", [1.0, 0.5])
+    def test_given_order_grows_the_sorted_tree(self, rng, feature_fraction):
+        # quantized columns, so that most sorted positions are ties
+        X = rng.integers(0, 4, size=(90, 6)).astype(float)
+        X[:, 5] = X[:, 1]
+        g = rng.normal(size=90)
+        h = rng.uniform(0.1, 0.25, size=90)
+        w = rng.choice([1.0, 4.0], size=90)
+        cfg = small_config(num_leaves=12, max_depth=6, min_data_in_leaf=5, feature_fraction=feature_fraction)
+        presort = np.argsort(X, axis=0, kind="stable").T
+        sorted_here = grow_tree(X, g, h, w, cfg, 7)
+        given = grow_tree(X, g, h, w, cfg, 7, order=presort)
+        assert (sorted_here.children_left >= 0).sum() >= 4
+        assert json.dumps(tree_to_dict(given)) == json.dumps(tree_to_dict(sorted_here))
+
+    def test_order_of_the_wrong_shape_is_refused(self, rng):
+        X = rng.normal(size=(30, 3))
+        g = rng.normal(size=30)
+        h = np.full(30, 0.25)
+        with pytest.raises(InvalidArgumentError, match="order must have shape"):
+            grow_tree(X, g, h, np.ones(30), small_config(), 0, order=np.argsort(X, axis=0))
+
+
+def _leaf_search(x, g, min_data, lam=0.0):
+    """_best_split on one presorted column of leaf rows with unit hessians."""
+    order = np.argsort(x, kind="stable")[None, :]
+    return _best_split(x[order], order, g, np.ones(x.size), min_data, lam)
+
+
+class TestBestSplit:
+    def test_leaf_of_exactly_twice_min_data_splits_in_the_middle(self):
+        # 2 * min_data rows leave one admissible split: min_data rows each side
+        min_data = 4
+        x = np.arange(8.0)
+        g = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        gain, column, threshold = _leaf_search(x, g, min_data)
+        assert (column, threshold) == (0, 3.5)
+        assert gain == pytest.approx(4**2 / 4 + 4**2 / 4 - 0.0)
+
+    def test_leaf_of_exactly_twice_min_data_is_not_split_at_a_tie(self):
+        # the only admissible position sits between two equal values
+        x = np.array([0.0, 1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0])
+        g = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        assert _leaf_search(x, g, 4) is None
+        assert _leaf_search(x, g, 3) is not None
+
+    def test_leaf_below_twice_min_data_is_not_split(self):
+        x = np.arange(7.0)
+        assert _leaf_search(x, np.where(x < 3, -1.0, 1.0), 4) is None
+
+    def test_all_tied_column_has_no_split(self):
+        g = np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0])
+        assert _leaf_search(np.full(6, 2.5), g, 1) is None
+
+    def test_all_tied_column_loses_to_any_other(self):
+        x = np.stack([np.full(6, 2.5), np.arange(6.0)])
+        g = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        order = np.argsort(x, axis=1, kind="stable")
+        xs = np.take_along_axis(x, order, axis=1)
+        _, column, threshold = _best_split(xs, order, g, np.ones(6), 1, 0.0)
+        assert (column, threshold) == (1, 2.5)
 
 
 class TestTrain:
