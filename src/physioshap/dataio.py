@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +29,25 @@ from .signals import CHANNEL_ORDER, RATING_NAMES, Trial
 DEFAULT_META = {"sample_rate_hz": 128.0, "baseline_samples": 384, "signal_samples": 7680}
 
 
+@contextmanager
+def written_whole(path) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` whole, or leaves it as it was.
+
+    The file is opened under a temporary name in the same directory and
+    moved onto ``path`` with one ``os.replace`` when the block ends; if the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header line and one line per row.
 
@@ -35,7 +56,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     (the repr of ``np.float64`` is not a bare number). Every other cell is
     written with ``str``.
     """
-    with Path(path).open("w", newline="") as fh:
+    with written_whole(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [repr(float(v)) if isinstance(v, np.floating) else str(v) for v in row]
@@ -192,7 +213,8 @@ def write_dataset(trials: Sequence[Trial], root) -> None:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     meta = {"sample_rate_hz": rate, "baseline_samples": n_base, "signal_samples": n_sig}
-    (root / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+    with written_whole(root / "meta.json") as fh:
+        fh.write(json.dumps(meta, sort_keys=True))
     for trial in trials:
         subject_dir = root / f"subject_{trial.subject_id}"
         subject_dir.mkdir(exist_ok=True)

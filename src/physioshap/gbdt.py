@@ -538,7 +538,10 @@ def model_from_dict(d: dict) -> GbdtModel:
 
 
 def save_model(model: GbdtModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True))
+    from .dataio import written_whole  # dataio imports evaluate, which imports this module
+
+    with written_whole(path) as fh:
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True))
 
 
 def load_model(path) -> GbdtModel:

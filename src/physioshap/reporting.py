@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import write_csv
+from .dataio import write_csv, written_whole
 from .entropy import FEATURE_NAMES
 from .errors import InvalidArgumentError, SchemaMismatchError
 from .evaluate import CvReport, Dataset, DatasetRow, FoldResult, MetricSummary
@@ -84,7 +84,8 @@ def selection_from_dict(d: dict) -> SelectionResult:
 
 
 def save_json(doc, path) -> None:
-    Path(path).write_text(_json_dumps(doc))
+    with written_whole(path) as fh:
+        fh.write(_json_dumps(doc))
 
 
 def load_json(path):
@@ -162,7 +163,8 @@ def emit_report(artifacts: Sequence[TargetArtifacts], dataset: Dataset, out_dir)
             doc["selection"] = selection_to_dict(art.selection)
         report_doc["targets"][art.target] = doc
     path = out / "report.json"
-    path.write_text(_json_dumps(report_doc))
+    with written_whole(path) as fh:
+        fh.write(_json_dumps(report_doc))
     written.append(path)
 
     def table(name: str, header: Sequence[str], rows) -> None:

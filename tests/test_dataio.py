@@ -6,8 +6,10 @@ import pytest
 from physioshap.dataio import (
     ingest_dataset,
     read_features_csv,
+    write_csv,
     write_dataset,
     write_features_csv,
+    written_whole,
 )
 from physioshap.errors import IngestionError, InvalidArgumentError
 from physioshap.pipeline import trial_features
@@ -132,3 +134,37 @@ class TestFeatureTable:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(IngestionError):
             read_features_csv(path)
+
+
+class TestWholeWrites:
+    def test_failed_row_stream_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_csv(path, ["a", "b"], [(1, 2.5), (3, 4.5)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (5, 6.5)
+            yield (7, 8.5)
+            raise OSError("No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
+
+    def test_failed_first_write_creates_no_file(self, tmp_path):
+        def rows():
+            raise KeyError("cell")
+            yield
+
+        with pytest.raises(KeyError):
+            write_csv(tmp_path / "out.csv", ["a"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_whole_write_replaces_the_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("old and longer than the new text")
+        with written_whole(path) as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
