@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, SchemaMismatchError
+from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, SchemaMismatchError
 from .signals import ChannelKind, _as_values
 
 #: Pairs per block. A block's two float64 buffers take 1 MiB together, which
@@ -295,6 +295,12 @@ def extract_feature_vector(
         for idx in range(1, count + 1):
             comp = trial_components[tag][idx - 1]
             values[f"{tag}{idx}_SE"] = sample_entropy(comp, cfg)
-            values[f"{tag}{idx}_FE"] = fuzzy_entropy(comp, cfg)
+            try:
+                values[f"{tag}{idx}_FE"] = fuzzy_entropy(comp, cfg)
+            except NumericalFailureError as exc:
+                # the memberships exp(-d^n / r) of this m and r do not fit in a float
+                raise ConfigError(
+                    f"channel {tag}, component {idx}: {exc} at entropy.m {cfg.m}, entropy.r {cfg.r}"
+                ) from exc
             values[f"{tag}{idx}_En"] = energy(comp)
     return FeatureVector(values)

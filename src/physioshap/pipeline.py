@@ -85,7 +85,10 @@ def trial_features(
 ) -> FeatureVector:
     processed = preprocess_trial(trial, pre_cfg)
     components = decompose_trial(processed, ssa_cfg)
-    return extract_feature_vector(components, ent_cfg)
+    try:
+        return extract_feature_vector(components, ent_cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"subject {trial.subject_id}, trial {trial.trial_id}, {exc}") from exc
 
 
 _worker_fn = None  # a pool worker's task function, set once by _adopt

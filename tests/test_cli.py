@@ -350,6 +350,25 @@ class TestBadConfig:
             assert not (tmp_path / "o" / "features.csv").exists()
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("m", 126, "at entropy.m 126, entropy.r 0.15"),
+        ("r", 1e-300, "at entropy.m 2, entropy.r 1e-300"),
+    ])
+    def test_fuzzy_membership_underflow_is_bad_input(self, workdir, tmp_path, capsys, key, value, named):
+        # both pass the config checks; FuzzyEn's memberships then underflow on 1 s trials
+        _, cfg = workdir
+        doc = json.loads(cfg.read_text())
+        doc["synthetic"].update(n_subjects=2, trials_per_subject=2)
+        doc["entropy"] = {key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("extract", "--config", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: subject 1, trial ") and ", channel " in err and ", component " in err
+        assert "fuzzy membership averages underflowed to zero " + named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "features.csv").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("", "jobs", 1.5), ("", "jobs", True), ("", "seed", "x"), ("", "search_iterations", 2.5),
         ("", "out_dir", 5), ("synthetic", "n_subjects", 2.5), ("entropy", "m", 2.5), ("entropy", "r", True),
