@@ -27,11 +27,12 @@ it), which downstream attribution uses to marginalize absent features.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -175,23 +176,32 @@ def goss_sample(
     return idx[order2], weights[order2]
 
 
+def _column_ranks(X: np.ndarray) -> np.ndarray:
+    """The presort: each row's place in its column's stable argsort,
+    (features, rows)."""
+    n = X.shape[0]
+    ranks = np.empty((X.shape[1], n), dtype=np.min_scalar_type(n))
+    np.put_along_axis(ranks, np.argsort(X, axis=0, kind="stable").T, np.arange(n), axis=1)
+    return ranks
+
+
 class _SampleOrder:
     """The ``order`` that ``grow_tree`` takes for one round's sampled rows,
     (features, rows), worked out only for the features the tree draws.
 
-    ``ranks`` holds each row's place in its column's stable sort over the
-    whole fit. Ranks are distinct, so ordering the sampled rows by rank
+    ``ranks()`` gives the fit's ``_column_ranks``; it is called only when a
+    tree can split. Ranks are distinct, so ordering the sampled rows by rank
     keeps tied values in ascending row order; on ranks of 16 bits or fewer
     numpy's stable argsort is a radix sort, one linear pass per column.
     """
 
-    def __init__(self, ranks: np.ndarray, rows: np.ndarray):
+    def __init__(self, ranks: Callable[[], np.ndarray], rows: np.ndarray, n_feat: int):
         self.ranks = ranks
         self.rows = rows
-        self.shape = (ranks.shape[0], rows.size)
+        self.shape = (n_feat, rows.size)
 
     def __getitem__(self, feats: np.ndarray) -> np.ndarray:
-        return np.argsort(self.ranks[feats][:, self.rows], axis=1, kind="stable")
+        return np.argsort(self.ranks()[feats][:, self.rows], axis=1, kind="stable")
 
 
 def _best_split(
@@ -272,7 +282,7 @@ def grow_tree(
     if np.any(weights < 0):
         raise InvalidArgumentError("weights must be non-negative")
     n, n_feat = X.shape
-    if order is not None and np.shape(order) != (n_feat, n):
+    if order is not None and order.shape != (n_feat, n):
         raise InvalidArgumentError(f"order must have shape (features, rows) = {(n_feat, n)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if cfg.feature_fraction < 1.0:
@@ -280,11 +290,6 @@ def grow_tree(
         feats = np.sort(rng.choice(n_feat, size=k, replace=False))
     else:
         feats = np.arange(n_feat)
-    columns = X.T[feats]
-    if order is None:
-        root_order = np.argsort(columns, axis=1, kind="stable")
-    else:
-        root_order = order[feats]
     wg = weights * grad
     wh = weights * hess
     lam = cfg.lambda_l2
@@ -313,7 +318,10 @@ def grow_tree(
         candidates.append((gain, -seq, node, rows, depth, c, thr, leaf_order, xs))
         seq += 1
 
-    push(root, np.arange(n), 0, root_order, np.take_along_axis(columns, root_order, axis=1))
+    if n >= 2 * min_data:  # else the root cannot split, and nothing needs an order
+        columns = X.T[feats]
+        root_order = np.argsort(columns, axis=1, kind="stable") if order is None else order[feats]
+        push(root, np.arange(n), 0, root_order, np.take_along_axis(columns, root_order, axis=1))
     leaves = 1
     while leaves < cfg.num_leaves and candidates:
         # highest gain; ties go to the earliest-created candidate
@@ -400,9 +408,8 @@ def train(
             raise InvalidArgumentError("validation features must match training width")
         v_margins = np.full(yv.size, base)
 
-    # the presort: every row's place in its column's stable argsort, (features, rows)
-    ranks = np.empty((X.shape[1], y.size), dtype=np.min_scalar_type(y.size))
-    np.put_along_axis(ranks, np.argsort(X, axis=0, kind="stable").T, np.arange(y.size), axis=1)
+    # taken once, when the first tree that can split asks for it
+    ranks = functools.cache(lambda: _column_ranks(X))
     master = np.random.default_rng(cfg.seed)
     trees: list[FlatTree] = []
     # round 0 (prior-only model) competes in the argmin: rounds that never
@@ -415,7 +422,7 @@ def train(
         hess = p * (1.0 - p)
         round_rng = np.random.default_rng(master.integers(2**63))
         idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
-        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng, _SampleOrder(ranks, idx))
+        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng, _SampleOrder(ranks, idx, X.shape[1]))
         trees.append(tree)
         margins = margins + cfg.learning_rate * tree.predict(X)
         if valid is not None:
