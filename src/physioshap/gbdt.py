@@ -11,12 +11,12 @@ so weighted statistics stay unbiased.
 
 Sorting happens once per fit (exact greedy split finding on presorted
 columns, as in SLIQ and Chen & Guestrin 2016, §3.1): ``train`` takes a
-stable argsort of every column, each round keeps the sampled rows of the
-columns its tree draws, and every split partitions its leaf's sorted
-columns between the children. Tied rows stay in ascending row order
-throughout, so each gradient prefix sum adds the same numbers in the same
-order as a fresh stable sort of the leaf, and the models are the ones
-per-leaf sorting grows, bit for bit.
+stable argsort of every column when its first tree that can split needs
+one, each round keeps the sampled rows of the columns its tree draws, and
+every split partitions its leaf's sorted columns between the children.
+Tied rows stay in ascending row order throughout, so each gradient prefix
+sum adds the same numbers in the same order as a fresh stable sort of the
+leaf, and the models are the ones per-leaf sorting grows, bit for bit.
 
 A tree is a ``FlatTree``, six node arrays that ``grow_tree`` fills as it
 splits and that prediction and attribution read; ``tree_to_dict`` and
