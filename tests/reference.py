@@ -130,7 +130,6 @@ def shapley_interactions_reference(value_fn, n):
     return out
 
 
-
 def split_search_reference(X, wg, wh, rows, feats, min_data, lam):
     """Exact split search that argsorts the leaf's own rows, as every leaf
     did before presorting. Returns (gain, feature, threshold) or None."""
