@@ -29,7 +29,6 @@ from .explain import (
     ImportanceRanking,
     InteractionMatrix,
     ShapExplanation,
-    brute_force_shapley,
     global_importance,
     select_features,
     shap_interactions,

@@ -33,10 +33,6 @@ class ModelIncompatibleError(PhysioShapError):
     """A model lacks the statistics an algorithm requires (e.g. cover)."""
 
 
-class CapacityError(PhysioShapError):
-    """Requested exact computation exceeds the supported problem size."""
-
-
 class IngestionError(PhysioShapError):
     """A dataset file is malformed; the message names file/row/column."""
 

@@ -27,11 +27,11 @@ from .gbdt import GbdtModel, SearchSpace, TrainConfig, fit, predict_margin
 from .signals import RATING_NAMES
 
 
-def binarize_label(rating: float, threshold: float = 5.0) -> int:
-    """Map a 9-point rating to a binary label: 1 iff strictly above threshold."""
+def binarize_label(rating: float) -> int:
+    """Map a 9-point rating to a binary label: 1 iff strictly above 5."""
     if not (1.0 <= rating <= 9.0):
         raise InvalidArgumentError(f"rating {rating} outside [1, 9]")
-    return 1 if rating > threshold else 0
+    return 1 if rating > 5.0 else 0
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,11 @@ class Dataset:
             raise InvalidArgumentError(f"unknown features requested: {unknown}")
         return np.array([[r.features[n] for n in names] for r in self.rows])
 
-    def labels(self, target: str, threshold: float = 5.0) -> np.ndarray:
+    def labels(self, target: str) -> np.ndarray:
+        """Each row's ``target`` rating as a binary label: 1 iff strictly above 5."""
         if target not in RATING_NAMES:
             raise InvalidArgumentError(f"unknown target {target!r}")
-        return np.array([binarize_label(r.ratings[target], threshold) for r in self.rows])
+        return np.array([binarize_label(r.ratings[target]) for r in self.rows])
 
     def groups(self) -> np.ndarray:
         return np.array([r.subject_id for r in self.rows])

@@ -8,27 +8,19 @@ of the path-dependent value function, where an absent feature descends both
 children in proportion to their cover, in time O(leaves * depth^2) per tree
 instead of enumerating 2^n feature subsets.
 
-The subset-enumeration evaluator of the same value function is kept as an
-oracle for testing; pairwise interaction values come from the difference of
-attributions conditioned on one feature being always followed versus always
+Pairwise interaction values come from the difference of attributions
+conditioned on one feature being always followed versus always
 marginalized.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    InvalidArgumentError,
-    ModelIncompatibleError,
-    SelectionError,
-)
+from .errors import InvalidArgumentError, ModelIncompatibleError, SelectionError
 from .gbdt import FlatTree, GbdtModel
 
 
@@ -221,15 +213,6 @@ def _phi_for_sample(
     return phi
 
 
-def _check_x(model: GbdtModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.n_features:
-        raise InvalidArgumentError(
-            f"expected a feature vector of length {model.n_features}, got shape {x.shape}"
-        )
-    return x
-
-
 def shap_values_batch(model: GbdtModel, X) -> list[ShapExplanation]:
     """Exact per-feature Shapley attributions of each row's margin; a single
     feature vector counts as one row."""
@@ -252,9 +235,11 @@ def shap_interactions(model: GbdtModel, x) -> InteractionMatrix:
     followed and with j always marginalized; diagonals absorb the remainder
     so each row sums to the feature's plain attribution.
     """
-    x = _check_x(model, x)
-    flats = _used_trees(model)
+    x = np.asarray(x, dtype=np.float64)
     n = model.n_features
+    if x.ndim != 1 or x.size != n:
+        raise InvalidArgumentError(f"expected a feature vector of length {n}, got shape {x.shape}")
+    flats = _used_trees(model)
     phi = _phi_for_sample(model, flats, x)
     used = set()
     for flat in flats:
@@ -269,71 +254,6 @@ def shap_interactions(model: GbdtModel, x) -> InteractionMatrix:
     np.fill_diagonal(mat, 0.0)
     np.fill_diagonal(mat, phi - mat.sum(axis=1))
     return InteractionMatrix(mat, expected_margin(model), model.feature_names)
-
-
-# --- subset-enumeration oracle ----------------------------------------------
-
-
-def _expect_subset(flat: FlatTree, x: np.ndarray, subset: frozenset, node: int = 0) -> float:
-    if flat.children_left[node] < 0:
-        return float(flat.value[node])
-    f = int(flat.feature[node])
-    left = int(flat.children_left[node])
-    right = int(flat.children_right[node])
-    if f in subset:
-        child = left if x[f] <= flat.threshold[node] else right
-        return _expect_subset(flat, x, subset, child)
-    cov = flat.cover[node]
-    return (
-        flat.cover[left] / cov * _expect_subset(flat, x, subset, left)
-        + flat.cover[right] / cov * _expect_subset(flat, x, subset, right)
-    )
-
-
-def coalition_value(model: GbdtModel, x, subset) -> float:
-    """Path-dependent value v(T): expected margin with features outside T
-    marginalized by cover proportions."""
-    x = _check_x(model, x)
-    flats = _used_trees(model)
-    subset = frozenset(int(i) for i in subset)
-    total = model.base_score
-    for flat in flats:
-        total += model.learning_rate * _expect_subset(flat, x, subset)
-    return total
-
-
-def brute_force_shapley(model: GbdtModel, x) -> ShapExplanation:
-    """Direct Shapley-sum evaluation over all feature subsets (oracle).
-
-    Uses exactly the same value function as the fast path; capped at 20
-    features because the enumeration is exponential.
-    """
-    x = _check_x(model, x)
-    n = model.n_features
-    if n > 20:
-        raise CapacityError(f"subset enumeration infeasible for {n} features (max 20)")
-    memo: dict[frozenset, float] = {}
-
-    def value(subset: frozenset) -> float:
-        if subset not in memo:
-            memo[subset] = coalition_value(model, x, subset)
-        return memo[subset]
-
-    fact = [math.factorial(k) for k in range(n + 1)]
-    phi = np.zeros(n)
-    others = list(range(n))
-    for i in range(n):
-        rest = [f for f in others if f != i]
-        weight_total = 0.0
-        for size in range(n):
-            w = fact[size] * fact[n - size - 1] / fact[n]
-            for combo in combinations(rest, size):
-                t = frozenset(combo)
-                phi[i] += w * (value(t | {i}) - value(t))
-                weight_total += w
-        # Shapley kernel weights over the subsets of one feature sum to 1
-        assert abs(weight_total - 1.0) < 1e-9
-    return ShapExplanation(phi, value(frozenset()), model.feature_names)
 
 
 # --- aggregation -------------------------------------------------------------

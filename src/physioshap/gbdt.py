@@ -12,8 +12,9 @@ so weighted statistics stay unbiased.
 Sorting happens once per fit (exact greedy split finding on presorted
 columns, as in SLIQ and Chen & Guestrin 2016, §3.1): ``train`` takes a
 stable argsort of every column when its first tree that can split needs
-one, each round keeps the sampled rows of the columns its tree draws, and
-every split partitions its leaf's sorted columns between the children.
+one. Each round ``train`` draws the tree's features, orders the sampled
+rows of those columns by that presort and hands ``grow_tree`` both; every
+split partitions its leaf's sorted columns between the children.
 Tied rows stay in ascending row order throughout, so each gradient prefix
 sum adds the same numbers in the same order as a fresh stable sort of the
 leaf, and the models are the ones per-leaf sorting grows, bit for bit.
@@ -32,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,25 +186,6 @@ def _column_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class _SampleOrder:
-    """The ``order`` that ``grow_tree`` takes for one round's sampled rows,
-    (features, rows), worked out only for the features the tree draws.
-
-    ``ranks()`` gives the fit's ``_column_ranks``; it is called only when a
-    tree can split. Ranks are distinct, so ordering the sampled rows by rank
-    keeps tied values in ascending row order; on ranks of 16 bits or fewer
-    numpy's stable argsort is a radix sort, one linear pass per column.
-    """
-
-    def __init__(self, ranks: Callable[[], np.ndarray], rows: np.ndarray, n_feat: int):
-        self.ranks = ranks
-        self.rows = rows
-        self.shape = (n_feat, rows.size)
-
-    def __getitem__(self, feats: np.ndarray) -> np.ndarray:
-        return np.argsort(self.ranks()[feats][:, self.rows], axis=1, kind="stable")
-
-
 def _best_split(
     xs: np.ndarray,
     order: np.ndarray,
@@ -254,19 +236,19 @@ def grow_tree(
     hess: np.ndarray,
     weights: np.ndarray,
     cfg: TrainConfig,
-    seed: int | np.random.Generator,
-    order: np.ndarray | _SampleOrder | None = None,
+    feats: np.ndarray,
+    order: np.ndarray | None,
 ) -> FlatTree:
     """Grow one regression tree leaf-wise on weighted gradient statistics.
 
-    ``order`` (features, rows), when given, is every column's stable argsort:
-    the row indices by ascending value, tied rows in ascending index. Only
-    ``order[feats]`` is read, for the features the tree draws. Without it
-    the root sorts its columns once. No leaf sorts: a split partitions its
-    leaf's order, and the sorted values that go with it, between the
-    children with the row mask. That keeps each child's columns sorted and
-    its tied rows in ascending index, so every gradient sum adds the same
-    numbers in the same order as a fresh stable sort of the child would.
+    ``feats`` lists the columns the tree may split on, ascending; ``order``
+    (len(feats), rows) is each such column's stable argsort, tied rows in
+    ascending index, and may be None only on a root too small to split. No
+    leaf sorts: a split partitions its leaf's order, and the sorted values
+    that go with it, between the children with the row mask. That keeps each
+    child's columns sorted and its tied rows in ascending index, so every
+    gradient sum adds the same numbers in the same order as a fresh stable
+    sort of the child would.
 
     Nodes are numbered in creation order; a node's cover is the sum of the
     weights of its rows.
@@ -282,14 +264,15 @@ def grow_tree(
     if np.any(weights < 0):
         raise InvalidArgumentError("weights must be non-negative")
     n, n_feat = X.shape
-    if order is not None and order.shape != (n_feat, n):
-        raise InvalidArgumentError(f"order must have shape (features, rows) = {(n_feat, n)}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if cfg.feature_fraction < 1.0:
-        k = max(1, math.ceil(cfg.feature_fraction * n_feat))
-        feats = np.sort(rng.choice(n_feat, size=k, replace=False))
-    else:
-        feats = np.arange(n_feat)
+    feats = np.asarray(feats)
+    ascending = feats.ndim == 1 and feats.size > 0 and bool((feats[1:] > feats[:-1]).all())
+    if not (ascending and 0 <= feats[0] and feats[-1] < n_feat):
+        raise InvalidArgumentError(f"feats must be ascending distinct columns below {n_feat}")
+    splits = n >= 2 * cfg.min_data_in_leaf  # else nothing needs an order
+    if order is None and splits:
+        raise InvalidArgumentError(f"a root of {n} rows can split, so it needs an order")
+    if order is not None and order.shape != (feats.size, n):
+        raise InvalidArgumentError(f"order must have shape (feats, rows) = {(feats.size, n)}")
     wg = weights * grad
     wh = weights * hess
     lam = cfg.lambda_l2
@@ -318,10 +301,8 @@ def grow_tree(
         candidates.append((gain, -seq, node, rows, depth, c, thr, leaf_order, xs))
         seq += 1
 
-    if n >= 2 * min_data:  # else the root cannot split, and nothing needs an order
-        columns = X.T[feats]
-        root_order = np.argsort(columns, axis=1, kind="stable") if order is None else order[feats]
-        push(root, np.arange(n), 0, root_order, np.take_along_axis(columns, root_order, axis=1))
+    if splits:
+        push(root, np.arange(n), 0, order, np.take_along_axis(X.T[feats], order, axis=1))
     leaves = 1
     while leaves < cfg.num_leaves and candidates:
         # highest gain; ties go to the earliest-created candidate
@@ -410,6 +391,7 @@ def train(
 
     # taken once, when the first tree that can split asks for it
     ranks = functools.cache(lambda: _column_ranks(X))
+    n_feat = X.shape[1]
     master = np.random.default_rng(cfg.seed)
     trees: list[FlatTree] = []
     # round 0 (prior-only model) competes in the argmin: rounds that never
@@ -422,7 +404,16 @@ def train(
         hess = p * (1.0 - p)
         round_rng = np.random.default_rng(master.integers(2**63))
         idx, w = goss_sample(grad, cfg.goss_a, cfg.goss_b, round_rng)
-        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, round_rng, _SampleOrder(ranks, idx, X.shape[1]))
+        feats = np.arange(n_feat)
+        if cfg.feature_fraction < 1.0:
+            k = max(1, math.ceil(cfg.feature_fraction * n_feat))
+            feats = np.sort(round_rng.choice(n_feat, size=k, replace=False))
+        # ranks are distinct, so sorting by rank keeps tied rows in ascending order;
+        # on ranks of 16 bits or fewer numpy's stable argsort is a linear radix sort
+        order = None
+        if idx.size >= 2 * cfg.min_data_in_leaf:
+            order = np.argsort(ranks()[feats][:, idx], axis=1, kind="stable")
+        tree = grow_tree(X[idx], grad[idx], hess[idx], w, cfg, feats, order)
         trees.append(tree)
         margins = margins + cfg.learning_rate * tree.predict(X)
         if valid is not None:
@@ -607,19 +598,17 @@ class SearchSpace:
         )
 
 
-def inner_holdout_split(
-    groups: np.ndarray, seed: int, fraction: float = 0.1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Subject-disjoint inner split: held-out subjects cover ~``fraction``
-    of the distinct subjects (at least one). Returns boolean (train, valid)
-    row masks."""
+def inner_holdout_split(groups: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subject-disjoint inner split: held-out subjects are ~10% of the
+    distinct subjects, at least one, and at least two once there are four.
+    Returns boolean (train, valid) row masks."""
     groups = np.asarray(groups)
     subjects = np.unique(groups)
     if subjects.size < 2:
         raise InvalidArgumentError("inner split needs at least 2 distinct subjects")
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(subjects)
-    n_hold = max(1, int(round(fraction * subjects.size)))
+    n_hold = max(1, int(round(0.1 * subjects.size)))
     if subjects.size >= 4:
         # a single held-out subject makes the candidate argmin too noisy
         n_hold = max(2, n_hold)

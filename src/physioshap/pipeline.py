@@ -17,7 +17,7 @@ from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .entropy import COMPONENT_SCHEMA, EntropyConfig, FeatureVector, extract_feature_vector
-from .errors import ConfigError, DegenerateLabelsError, SchemaMismatchError
+from .errors import ConfigError, DegenerateLabelsError, InvalidArgumentError, SchemaMismatchError
 from .evaluate import (
     CvReport,
     Dataset,
@@ -122,8 +122,9 @@ def extract_dataset(
 ) -> Dataset:
     """Run the full feature pipeline over many trials (optionally in a
     process pool; results are order-stable either way). A ``window_len`` or
-    smoothing span longer than the shortest trial, or an entropy ``m`` that
-    leaves it no (m+1)-template pair, fails before any trial is processed."""
+    smoothing span longer than the shortest trial, an entropy ``m`` that
+    leaves it no (m+1)-template pair, or a constant channel, whose entropies
+    would measure rounding noise, fails before any trial is processed."""
     window = (ssa_cfg or SsaConfig()).window_len
     span = max((pre_cfg or PreprocessConfig()).smooth_span.values())
     m = (ent_cfg or EntropyConfig()).m
@@ -133,6 +134,11 @@ def extract_dataset(
             raise ConfigError(f"{name} {length} exceeds the shortest trial ({shortest} samples)")
     if m + 1 >= shortest:
         raise ConfigError(f"entropy.m {m} needs trials longer than m + 1 samples; the shortest has {shortest}")
+    for t in trials:
+        for kind, x in t.channels.items():
+            if x.min() == x.max():
+                where = f"subject {t.subject_id}, trial {t.trial_id}, channel {kind.value}"
+                raise InvalidArgumentError(f"{where}: constant signal, every sample {float(x[0])}")
     featurize = partial(trial_features, pre_cfg=pre_cfg, ssa_cfg=ssa_cfg, ent_cfg=ent_cfg)
     features = fan_out(featurize, [(t,) for t in trials], jobs)
     rows = [

@@ -6,6 +6,8 @@ package's optimized code paths.
 """
 
 import math
+from collections import namedtuple
+from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,10 +107,68 @@ def wilcoxon_exact_reference(diff):
     return count / 2**n
 
 
+def _expect_subset(tree, x, subset, node=0):
+    """One ``gbdt.FlatTree``'s prediction at ``x`` with the features outside
+    ``subset`` marginalized: both children, weighted by their cover."""
+    if tree.children_left[node] < 0:
+        return float(tree.value[node])
+    f = int(tree.feature[node])
+    left = int(tree.children_left[node])
+    right = int(tree.children_right[node])
+    if f in subset:
+        return _expect_subset(tree, x, subset, left if x[f] <= tree.threshold[node] else right)
+    cov = tree.cover[node]
+    return (
+        tree.cover[left] / cov * _expect_subset(tree, x, subset, left)
+        + tree.cover[right] / cov * _expect_subset(tree, x, subset, right)
+    )
+
+
+def coalition_value(model, x, subset):
+    """Path-dependent value v(T) of a ``gbdt.GbdtModel``: its expected margin
+    at ``x`` with the features outside T marginalized by cover."""
+    x = np.asarray(x, dtype=np.float64)
+    subset = frozenset(int(i) for i in subset)
+    total = model.base_score
+    for tree in model.trees[: model.best_iteration]:
+        total += model.learning_rate * _expect_subset(tree, x, subset)
+    return total
+
+
+Shapley = namedtuple("Shapley", "values base_value")
+
+
+def brute_force_shapley(model, x):
+    """Direct Shapley-sum evaluation of ``coalition_value`` over all feature
+    subsets; ValueError above 20 features, where enumeration is infeasible."""
+    n = model.n_features
+    if n > 20:
+        raise ValueError(f"subset enumeration infeasible for {n} features (max 20)")
+    memo = {}
+
+    def value(subset):
+        if subset not in memo:
+            memo[subset] = coalition_value(model, x, subset)
+        return memo[subset]
+
+    fact = [math.factorial(k) for k in range(n + 1)]
+    phi = np.zeros(n)
+    for i in range(n):
+        rest = [f for f in range(n) if f != i]
+        weight_total = 0.0
+        for size in range(n):
+            w = fact[size] * fact[n - size - 1] / fact[n]
+            for combo in combinations(rest, size):
+                t = frozenset(combo)
+                phi[i] += w * (value(t | {i}) - value(t))
+                weight_total += w
+        # Shapley kernel weights over the subsets of one feature sum to 1
+        assert abs(weight_total - 1.0) < 1e-9
+    return Shapley(phi, value(frozenset()))
+
+
 def shapley_interactions_reference(value_fn, n):
     """Direct pairwise interaction sum over all subsets excluding {i, j}."""
-    from itertools import combinations
-
     fact = [math.factorial(k) for k in range(n + 1)]
     out = np.zeros((n, n))
     for i in range(n):

@@ -21,7 +21,7 @@ from physioshap.evaluate import (
     RunAudit,
     compute_metrics,
 )
-from physioshap.explain import brute_force_shapley, shap_interactions, shap_values_batch
+from physioshap.explain import shap_interactions, shap_values_batch
 from physioshap.gbdt import (
     GbdtModel,
     binary_logloss,
@@ -35,7 +35,7 @@ from physioshap.ssa import SsaConfig, decompose
 from physioshap.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import leaf, random_model, small_config, split
-from reference import fuzzy_entropy_reference, sample_entropy_reference
+from reference import brute_force_shapley, fuzzy_entropy_reference, sample_entropy_reference
 
 SPEC_SEED = 21
 RUN_SEED = 5

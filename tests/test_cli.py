@@ -128,6 +128,26 @@ class TestExtract:
             for cell in line.split(",")[2:]:
                 assert np.isfinite(float(cell))
 
+    @pytest.mark.parametrize("flat_baseline", [False, True])
+    def test_constant_channel_is_bad_input(self, workdir, capsys, flat_baseline):
+        # a flat raw channel would featurize to entropies of rounding noise
+        tmp, cfg = workdir
+        run("synth", "--config", cfg, "--out", tmp / "data")
+        path = tmp / "data" / "subject_2" / "trial_3.csv"
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("Temp")
+        first = 1 if flat_baseline else 1 + json.loads((tmp / "data" / "meta.json").read_text())["baseline_samples"]
+        for i in range(first, len(lines)):
+            cells = lines[i].split(",")
+            cells[col] = "33.7"
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("extract", "--config", cfg, "--data", tmp / "data", "--out", tmp / "out") == 1
+        err = capsys.readouterr().err
+        assert "subject 2, trial 3, channel Temp: constant signal" in err and "Traceback" not in err
+        assert not (tmp / "out" / "features.csv").exists()
+
     def test_validation_fails_fast_without_input(self, workdir, tmp_path):
         tmp, _ = workdir
         bare = tmp_path / "bare.json"

@@ -1,13 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import leaf, random_model, small_config, split
-from physioshap.errors import CapacityError, InvalidArgumentError, ModelIncompatibleError
+from physioshap.errors import InvalidArgumentError, ModelIncompatibleError
 from physioshap.explain import (
     ImportanceRanking,
     ShapExplanation,
-    brute_force_shapley,
-    coalition_value,
     expected_margin,
     global_importance,
     select_features,
@@ -15,7 +16,7 @@ from physioshap.explain import (
     shap_values_batch,
 )
 from physioshap.gbdt import GbdtModel, predict_margin, train, tree_from_dict
-from reference import shapley_interactions_reference
+from reference import brute_force_shapley, coalition_value, shapley_interactions_reference
 
 
 def single_split_model(threshold=0.0, left=-1.0, right=2.0, cover=(3.0, 1.0), lr=0.5, base=0.2):
@@ -101,7 +102,7 @@ class TestBruteForce:
         model = GbdtModel(
             [tree_from_dict(leaf(0.0, 1.0), 21)], 0.1, 0.0, tuple(f"f{i}" for i in range(21)), 1
         )
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError):
             brute_force_shapley(model, np.zeros(21))
 
 
@@ -226,3 +227,38 @@ class TestSelectFeatures:
 def test_expected_margin_is_cover_weighted(rng):
     model = single_split_model(left=-1.0, right=2.0, cover=(3.0, 1.0), lr=0.5, base=0.2)
     assert expected_margin(model) == pytest.approx(0.2 + 0.5 * ((3 * -1 + 1 * 2) / 4))
+
+
+def _dependence_on_the_package(source):
+    """Every dotted name a module imports from physioshap.explain, or that
+    is private to physioshap."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [
+        name for name in imported
+        if name.split(".")[0] == "physioshap"
+        and (name.split(".")[1:2] == ["explain"] or any(part.startswith("_") for part in name.split(".")[1:]))
+    ]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from physioshap.explain import shap_values_batch", ["physioshap.explain.shap_values_batch"]),
+    ("from physioshap import explain", ["physioshap.explain"]),
+    ("import physioshap.explain as e", ["physioshap.explain"]),
+    ("from physioshap.gbdt import FlatTree, _best_split", ["physioshap.gbdt._best_split"]),
+    ("import physioshap._x", ["physioshap._x"]),
+    ("def f():\n    from physioshap.gbdt import GbdtModel, train", []),
+    ("from numpy import _core", []),
+])
+def test_dependence_check_finds_explain_and_private_imports(source, found):
+    assert _dependence_on_the_package(source) == found
+
+
+def test_oracle_does_not_depend_on_the_attribution_it_judges():
+    # the subset-enumeration oracle must stay outside the code it checks
+    source = (Path(__file__).parent / "reference.py").read_text()
+    assert _dependence_on_the_package(source) == []

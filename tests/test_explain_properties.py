@@ -13,9 +13,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import leaf, split  # noqa: E402
-from physioshap.explain import brute_force_shapley, shap_values_batch  # noqa: E402
+from physioshap.explain import shap_values_batch  # noqa: E402
 from physioshap.gbdt import GbdtModel, predict_margin, tree_from_dict  # noqa: E402
 from physioshap.ssa import SsaConfig, decompose  # noqa: E402
+from reference import brute_force_shapley  # noqa: E402
 
 GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 MAX_DEPTH = 4

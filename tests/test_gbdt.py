@@ -29,7 +29,7 @@ from physioshap.gbdt import (
     tree_from_dict,
     tree_to_dict,
 )
-from reference import best_split_reference
+from reference import best_split_reference, grow_tree_reference
 
 
 class TestGossSample:
@@ -90,7 +90,7 @@ class TestGrowTree:
         X = np.ones((20, 1))
         g = np.full(20, 0.4)
         h = np.full(20, 0.24)
-        tree = grow_tree(X, g, h, np.ones(20), small_config(), 0)
+        tree = grow_tree(X, g, h, np.ones(20), small_config(), *_every_column(X))
         assert tree.children_left.tolist() == [-1]
         assert tree.value[0] == pytest.approx(-g.sum() / h.sum())
 
@@ -106,7 +106,7 @@ class TestGrowTree:
         g = p - y
         h = p * (1 - p)
         cfg = small_config(num_leaves=2, min_data_in_leaf=1)
-        tree = grow_tree(x[:, None], g, h, np.ones(60), cfg, 0)
+        tree = grow_tree(x[:, None], g, h, np.ones(60), cfg, *_every_column(x[:, None]))
         ref_thr, _ = best_split_reference(x, y, base)
         assert tree.children_left[0] >= 0
         assert tree.threshold[0] == pytest.approx(ref_thr)
@@ -118,7 +118,7 @@ class TestGrowTree:
         X = rng.normal(size=(40, 3))
         g = rng.normal(size=40)
         h = np.full(40, 0.25)
-        tree = grow_tree(X, g, h, np.ones(40), small_config(num_leaves=1), 0)
+        tree = grow_tree(X, g, h, np.ones(40), small_config(num_leaves=1), *_every_column(X))
         assert tree.children_left.tolist() == [-1]
 
     def test_budgets_respected(self, rng):
@@ -129,7 +129,7 @@ class TestGrowTree:
             leaves = int(rng.integers(2, 9))
             depth = int(rng.integers(1, 5))
             cfg = small_config(num_leaves=leaves, max_depth=depth, min_data_in_leaf=3)
-            tree = grow_tree(X, g, h, np.ones(120), cfg, int(rng.integers(100)))
+            tree = grow_tree(X, g, h, np.ones(120), cfg, *_every_column(X))
             assert (tree.children_left < 0).sum() <= leaves
             assert _depths(tree).max() <= depth
 
@@ -138,7 +138,7 @@ class TestGrowTree:
         g = rng.normal(size=100)
         h = np.full(100, 0.25)
         w = rng.uniform(0.5, 2.0, size=100)
-        tree = grow_tree(X, g, h, w, small_config(num_leaves=8, min_data_in_leaf=4), 1)
+        tree = grow_tree(X, g, h, w, small_config(num_leaves=8, min_data_in_leaf=4), *_every_column(X))
         assert tree.cover[0] == pytest.approx(w.sum(), abs=1e-9)
         internal = tree.children_left >= 0
         assert internal.any()
@@ -154,18 +154,42 @@ class TestGrowTree:
         h = rng.uniform(0.1, 0.25, size=90)
         w = rng.choice([1.0, 4.0], size=90)
         cfg = small_config(num_leaves=12, max_depth=6, min_data_in_leaf=5, feature_fraction=feature_fraction)
-        presort = np.argsort(X, axis=0, kind="stable").T
-        sorted_here = grow_tree(X, g, h, w, cfg, 7)
-        given = grow_tree(X, g, h, w, cfg, 7, order=presort)
-        assert (sorted_here.children_left >= 0).sum() >= 4
-        assert json.dumps(tree_to_dict(given)) == json.dumps(tree_to_dict(sorted_here))
+        # the features train would draw, from the generator the reference draws them from
+        feats = np.arange(6)
+        if feature_fraction < 1.0:
+            feats = np.sort(np.random.default_rng(7).choice(6, size=math.ceil(feature_fraction * 6), replace=False))
+        given = grow_tree(X, g, h, w, cfg, feats, np.argsort(X[:, feats], axis=0, kind="stable").T)
+        sorted_per_leaf = grow_tree_reference(X, g, h, w, cfg, np.random.default_rng(7))
+        assert (sorted_per_leaf.children_left >= 0).sum() >= 4
+        assert json.dumps(tree_to_dict(given)) == json.dumps(tree_to_dict(sorted_per_leaf))
 
     def test_order_of_the_wrong_shape_is_refused(self, rng):
         X = rng.normal(size=(30, 3))
         g = rng.normal(size=30)
         h = np.full(30, 0.25)
         with pytest.raises(InvalidArgumentError, match="order must have shape"):
-            grow_tree(X, g, h, np.ones(30), small_config(), 0, order=np.argsort(X, axis=0))
+            grow_tree(X, g, h, np.ones(30), small_config(), np.arange(3), np.argsort(X, axis=0))
+
+    def test_no_order_is_refused_where_the_root_can_split(self, rng):
+        X = rng.normal(size=(30, 3))
+        g = rng.normal(size=30)
+        h = np.full(30, 0.25)
+        with pytest.raises(InvalidArgumentError, match="needs an order"):
+            grow_tree(X, g, h, np.ones(30), small_config(min_data_in_leaf=15), np.arange(3), None)
+        # 30 rows cannot make two leaves of 16, so the root grows alone without one
+        tree = grow_tree(X, g, h, np.ones(30), small_config(min_data_in_leaf=16), np.arange(3), None)
+        assert tree.children_left.tolist() == [-1]
+
+    @pytest.mark.parametrize("feats", [[], [1, 0], [0, 0, 2], [-1, 2], [0, 3], [[0, 1]]])
+    def test_feats_that_are_not_ascending_columns_are_refused(self, rng, feats):
+        X = rng.normal(size=(30, 3))
+        with pytest.raises(InvalidArgumentError, match="feats must be"):
+            grow_tree(X, np.ones(30), np.ones(30), np.ones(30), small_config(), np.array(feats, dtype=int), None)
+
+
+def _every_column(X):
+    """``grow_tree``'s feats and order for a tree that may split on every column of X."""
+    return np.arange(X.shape[1]), np.argsort(X, axis=0, kind="stable").T
 
 
 def _leaf_search(x, g, min_data, lam=0.0):
@@ -472,7 +496,7 @@ def test_flat_tree_predict_matches_node_walk(rng):
     X = rng.normal(size=(60, 4))
     g = rng.normal(size=60)
     h = np.full(60, 0.25)
-    tree = grow_tree(X, g, h, np.ones(60), small_config(num_leaves=8, min_data_in_leaf=2), 3)
+    tree = grow_tree(X, g, h, np.ones(60), small_config(num_leaves=8, min_data_in_leaf=2), *_every_column(X))
     nested = tree_to_dict(tree)
 
     def walk(node, x):
